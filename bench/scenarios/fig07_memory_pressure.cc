@@ -70,11 +70,6 @@ struct MemoryCase {
   PushMode mode;
   int32_t block_size;
   PreemptPolicy policy;
-  // ISSUE 5 ablations: preemption-aware selective pushing (per-preemption
-  // load penalty in the least-loaded scans) and per-step decode admission
-  // (commit the output reserve one block at a time).
-  double preemption_penalty = 0.0;
-  bool per_step_admission = false;
   // ISSUE 8 saturation matrix: a shrunken per-replica KV with an
   // under-sized output reserve and longer thoughts, sized (by sweeping) so
   // every replica holds at the admission wall for the whole measurement
@@ -112,15 +107,7 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   // Keep one typical request's worth of blocks free as decode headroom.
   rconfig.kv_watermark_blocks =
       (512 + rconfig.output_reserve_tokens) / mc.block_size;
-  rconfig.per_step_decode_admission = mc.per_step_admission;
   rconfig.cache_eviction_policy = mc.eviction;
-  // All cells keep the raw-pending probe. The admission-blocked probe mode
-  // (ReplicaConfig::probe_admission_blocked_pending, ISSUE 8) was measured
-  // here and REJECTED for these cells: hiding step-boundary waiters makes
-  // SP-P collapse into BP exactly (byte-identical sims) in every regime
-  // where selective pushing wins — the raw pending count's sensitivity to
-  // mid-step queueing IS the load signal behind the committed SP-P/BP gap.
-  rconfig.probe_admission_blocked_pending = false;
   if (mc.decode_first) {
     // Decode-priority composition: decodes claim a halved shared step
     // budget first and prefill chunks shrink to the remainder, throttling
@@ -148,7 +135,6 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
     // binds for the selective cells).
     config.engine.min_free_block_fraction = 0.01;
   }
-  config.engine.preemption_penalty = mc.preemption_penalty;
   SglRouterLb lb(&sim, &net, 0, 0, config);
   for (auto& replica : replicas) {
     lb.AttachReplica(replica.get());
@@ -215,12 +201,6 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   row.Dim("block_size", std::to_string(mc.block_size));
   row.Dim("preempt",
           mc.policy == PreemptPolicy::kSwap ? "swap" : "recompute");
-  if (mc.preemption_penalty > 0) {
-    row.Dim("preemption_penalty", std::to_string(mc.preemption_penalty));
-  }
-  if (mc.per_step_admission) {
-    row.Dim("per_step_admission", "on");
-  }
   if (mc.saturate) {
     row.Dim("saturation", "on");
     row.Dim("eviction", mc.eviction == EvictionPolicy::kColdSubtree
@@ -315,15 +295,9 @@ Scenario MakeFig07MemoryPressureScenario() {
         {"bp/b32/swap", PushMode::kBlind, 32, PreemptPolicy::kSwap},
         {"spp/b32/swap", PushMode::kSelectivePending, 32,
          PreemptPolicy::kSwap},
-        // ISSUE 5 ablations, appended so the base rows keep their indices.
-        {"spp/b16/swap/penalty", PushMode::kSelectivePending, 16,
-         PreemptPolicy::kSwap, /*preemption_penalty=*/2.0},
-        {"spp/b16/swap/perstep", PushMode::kSelectivePending, 16,
-         PreemptPolicy::kSwap, /*preemption_penalty=*/0.0,
-         /*per_step_admission=*/true},
     };
     std::vector<MemoryCase> all_cases(std::begin(cases), std::end(cases));
-    // ISSUE 8 saturation cross, rows 8..23: (BP, SP-P) x (recompute, swap)
+    // ISSUE 8 saturation cross, rows 6..21: (BP, SP-P) x (recompute, swap)
     // x (kLruLeaf, kColdSubtree) x (default, decode-first composition) at
     // b16 under the saturated workload. Loop order fixes the row indices
     // the finalize below depends on.
@@ -380,22 +354,17 @@ Scenario MakeFig07MemoryPressureScenario() {
           "spp_b16_swap_ttft_p90_over_recompute_x",
           safe_div(*report.rows[3].Find(metric_keys::kTtftP90),
                    *report.rows[2].Find(metric_keys::kTtftP90)));
-      // ISSUE 5 ablations vs the plain SP-P/b16/swap cell (row 3).
-      report.derived.emplace_back("preemption_penalty_vs_spp_b16_swap_x",
-                                  safe_div(tput(6), tput(3)));
-      report.derived.emplace_back("per_step_admission_vs_spp_b16_swap_x",
-                                  safe_div(tput(7), tput(3)));
-      // ISSUE 8 saturation cross (rows 8..23, loop order bp/spp x
+      // ISSUE 8 saturation cross (rows 6..21, loop order bp/spp x
       // recompute/swap x lruleaf/coldsubtree x default/decodefirst).
       // Saturated SP-P/BP gap at seed policies — the headline the CI
       // floor guards:
       report.derived.emplace_back("sat_spp_vs_bp_b16_recompute_x",
-                                  safe_div(tput(16), tput(8)));
+                                  safe_div(tput(14), tput(6)));
       report.derived.emplace_back("sat_spp_vs_bp_b16_swap_x",
-                                  safe_div(tput(20), tput(12)));
+                                  safe_div(tput(18), tput(10)));
       // The same gap with both ISSUE 8 mechanisms on in both arms.
       report.derived.emplace_back("sat_spp_vs_bp_b16_swap_tuned_x",
-                                  safe_div(tput(23), tput(15)));
+                                  safe_div(tput(21), tput(13)));
       // Mechanism ablations. Cold-subtree eviction matters where eviction
       // churn is heaviest — under BP, which keeps pushing into jammed
       // replicas. SP-P routes around the churn (its swap arm takes ~1
@@ -403,13 +372,13 @@ Scenario MakeFig07MemoryPressureScenario() {
       // eviction policy at this operating point; the SP-P ratio is kept as
       // an inertness check, the BP ratio carries the CI floor.
       report.derived.emplace_back("sat_coldsubtree_vs_lruleaf_bp_swap_x",
-                                  safe_div(tput(14), tput(12)));
+                                  safe_div(tput(12), tput(10)));
       report.derived.emplace_back("sat_coldsubtree_vs_lruleaf_spp_swap_x",
-                                  safe_div(tput(22), tput(20)));
+                                  safe_div(tput(20), tput(18)));
       report.derived.emplace_back("sat_decodefirst_vs_default_spp_swap_x",
-                                  safe_div(tput(21), tput(20)));
+                                  safe_div(tput(19), tput(18)));
       report.derived.emplace_back("sat_tuned_vs_seed_spp_swap_x",
-                                  safe_div(tput(23), tput(20)));
+                                  safe_div(tput(21), tput(18)));
       report.notes.push_back(
           "Paged-memory re-run of fig09 (paper Fig. 9: SP-P/BP throughput "
           "1.27x): preemption and swap counters must be nonzero under this "

@@ -49,14 +49,6 @@ int64_t Replica::ReserveRemaining(const Seq& seq) const {
   return std::max<int64_t>(0, config_.output_reserve_tokens - seq.generated);
 }
 
-int64_t Replica::ReserveCommitTarget(const Seq& seq) const {
-  const int64_t remaining = ReserveRemaining(seq);
-  if (!config_.per_step_decode_admission) {
-    return remaining;
-  }
-  return std::min<int64_t>(remaining, config_.kv_block_size_tokens);
-}
-
 int64_t Replica::memory_used_tokens() const {
   return cache_.size_tokens() + kv_.seq_resident_tokens();
 }
@@ -119,21 +111,11 @@ ProbePayload Replica::Probe() {
   LoadSnapshot snap = Snapshot();
   ProbePayload payload;
   payload.version = ++probe_version_;
-  // Under probe_admission_blocked_pending, arrivals merely waiting for the
-  // current step boundary are invisible: pending is surfaced only while the
-  // last admission pass actually failed to place work.
-  payload.pending = config_.probe_admission_blocked_pending
-                        ? (admission_blocked_ ? snap.pending : 0)
-                        : snap.pending;
+  payload.pending = snap.pending;
   payload.running = snap.running;
   payload.free_capacity = snap.free_capacity;
   payload.free_blocks = snap.free_blocks;
   payload.total_blocks = snap.total_blocks;
-  // Preemptions since the previous probe; 0 on the first (no baseline).
-  payload.preemption_delta =
-      probed_before_ ? snap.preemptions - preemptions_at_last_probe_ : 0;
-  preemptions_at_last_probe_ = snap.preemptions;
-  probed_before_ = true;
   payload.swapped = snap.swapped;
   payload.ewma_decode_us_per_token = decode_ewma_us_per_token_;
   payload.latency_samples = latency_samples_;
@@ -168,9 +150,6 @@ void Replica::Admit() {
   // swap-out transfer's completion poke re-enters here, and the swap-in
   // claims the freed blocks first.)
   if (!swapped_.empty()) {
-    // Held behind a swap-in: any queued work is blocked, not merely waiting
-    // for the current step to finish.
-    admission_blocked_ = !pending_.empty();
     return;
   }
   while (!pending_.empty() &&
@@ -187,14 +166,10 @@ void Replica::Admit() {
       pin = match.pin;
     }
     const int64_t prefill_need = candidate.prompt_len() - cached;
-    // The admission check prices a full fresh request's reserve (one block
-    // of it under per-step admission); the commit below re-prices for
-    // already-generated tokens (a re-admitted preemption victim).
-    const int64_t reserve =
-        config_.per_step_decode_admission
-            ? std::min<int64_t>(config_.output_reserve_tokens,
-                                config_.kv_block_size_tokens)
-            : config_.output_reserve_tokens;
+    // The admission check prices a full fresh request's reserve; the
+    // commit below re-prices for already-generated tokens (a re-admitted
+    // preemption victim).
+    const int64_t reserve = config_.output_reserve_tokens;
     if (!kv_.CanAdmit(prefill_need, reserve)) {
       EvictCache(kv_.AdmissionDeficitBlocks(prefill_need, reserve));
     }
@@ -237,7 +212,7 @@ void Replica::Admit() {
     // tree would charge them, so publishing at prefill completion is a
     // reference transfer.
     seq.kv = kv_.AdmitSeq(
-        seq.prefill_remaining, ReserveCommitTarget(seq),
+        seq.prefill_remaining, ReserveRemaining(seq),
         static_cast<int32_t>(cached % config_.kv_block_size_tokens));
     seq.prefill_done = false;
     seq.prefill_alloc = 0;
@@ -253,9 +228,6 @@ void Replica::Admit() {
                 admitted.prefill_remaining);
     }
   }
-  // Anything still queued here was memory- or slot-blocked this pass (the
-  // loop only exits early on those two conditions).
-  admission_blocked_ = !pending_.empty();
 }
 
 void Replica::MaybeStartSwapIns() {
@@ -267,7 +239,7 @@ void Replica::MaybeStartSwapIns() {
       break;  // The swap-out completion poke re-enters here.
     }
     const int64_t tokens = front.swap_tokens;
-    const int64_t reserve = ReserveCommitTarget(front.seq);
+    const int64_t reserve = ReserveRemaining(front.seq);
     const int64_t prefill = front.seq.prefill_remaining;
     if (!kv_.CanAdmitRestore(tokens, prefill, reserve)) {
       EvictCache(kv_.RestoreDeficitBlocks(tokens, prefill, reserve));
@@ -449,10 +421,6 @@ void Replica::FinishStep(double step_us, int decode_count) {
       ++seq.generated;
       kv_.OnDecodeToken(seq.kv);
       ++stats_.output_tokens_generated;
-      if (config_.per_step_decode_admission) {
-        // Roll the committed reserve forward one block at a time.
-        kv_.SetReserve(seq.kv, ReserveCommitTarget(seq));
-      }
     }
   }
 
@@ -487,9 +455,6 @@ void Replica::OnPrefillComplete(Seq& seq) {
     seq.generated = 1;
     kv_.OnDecodeToken(seq.kv);
     ++stats_.output_tokens_generated;
-    if (config_.per_step_decode_admission) {
-      kv_.SetReserve(seq.kv, ReserveCommitTarget(seq));
-    }
   }
 
   if (config_.enable_prefix_cache) {

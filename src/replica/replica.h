@@ -126,27 +126,10 @@ struct ReplicaConfig {
   PreemptPolicy kv_preempt_policy = PreemptPolicy::kRecompute;
   // PCIe transfer model for kSwap, us per token each direction.
   double kv_swap_us_per_token = 5.2;
-  // Per-step decode admission (ISSUE 5): commit the output reserve one
-  // block at a time as decode proceeds instead of the full estimate up
-  // front. Packs more sequences per batch; decode growth past the pool is
-  // resolved by preemption. Off by default (coarse goldens unchanged).
-  bool per_step_decode_admission = false;
-
   // Victim selection for the prefix cache under memory pressure (ISSUE 8).
   // kLruLeaf is the behavior-frozen seed policy; kColdSubtree evicts whole
   // cold subtrees ranked by pages-per-expected-future-hit.
   EvictionPolicy cache_eviction_policy = EvictionPolicy::kLruLeaf;
-
-  // Probe fidelity under saturation (ISSUE 8). The probe's `pending` field
-  // historically counts every accepted request not yet in the batch — which
-  // includes arrivals merely waiting for the current (possibly 500ms+
-  // chunked-prefill) step to finish, so selective pushing reads "full" from
-  // a replica that would admit the whole queue at its next step boundary
-  // and starves it. When set, the probe reports pending only while the last
-  // admission pass actually failed to place work (memory or batch-slot
-  // blocked) — the §3.3 "continuous batch cannot admit more work" signal.
-  // Off by default: probe payloads (and the committed goldens) unchanged.
-  bool probe_admission_blocked_pending = false;
 
   // Per-step batch composition (ISSUE 8). Defaults are inert (seed plan).
   BatchCompositionConfig composition;
@@ -165,10 +148,7 @@ struct ReplicaConfig {
 // The versioned heartbeat-probe payload (ISSUE 7): everything a balancer
 // routes on, in one struct with exactly one construction site
 // (Replica::Probe) and one decode site (the dispatch engine's probe-response
-// handler). `version` is a per-replica monotonic probe counter;
-// `preemption_delta` is the preemption count since the previous probe — the
-// "recent churn" preemption-aware pushing scores on (0 on a replica's first
-// probe). The EWMA decode-latency sample feeds passive latency-outlier
+// handler). `version` is a per-replica monotonic probe counter. The EWMA decode-latency sample feeds passive latency-outlier
 // detection (src/routing/health.h); full diagnostic detail stays on
 // Replica::LoadSnapshot, which metrics and tests read directly.
 struct ProbePayload {
@@ -178,7 +158,6 @@ struct ProbePayload {
   int free_capacity = 0;  // EstimateFreeCapacity().
   int64_t free_blocks = 0;
   int64_t total_blocks = 0;
-  int64_t preemption_delta = 0;
   int64_t swapped = 0;
   // EWMA over completed requests of (decode wall time) / (tokens decoded) —
   // the per-token service latency a straggler inflates, whatever its load.
@@ -381,12 +360,9 @@ class Replica {
     EventId arrival = kInvalidEventId;
   };
 
-  // Output reserve still unconsumed by `seq` (what re-admission and
-  // swap-in must re-commit).
+  // Output reserve still unconsumed by `seq` (what admission, re-admission
+  // and swap-in commit).
   int64_t ReserveRemaining(const Seq& seq) const;
-  // What admission actually commits for the output: the full remaining
-  // reserve, or one block at a time under per_step_decode_admission.
-  int64_t ReserveCommitTarget(const Seq& seq) const;
 
   // Moves pending requests into the batch while memory and slots allow;
   // swapped-out sequences re-enter first (resume priority).
@@ -429,14 +405,8 @@ class Replica {
 
   bool serving_ = true;
   double slowdown_ = 1.0;
-  // Latest Admit() outcome: true iff it exited leaving pending work it
-  // could not place (memory- or slot-blocked, or held behind a swap-in).
-  // Read by Probe() under probe_admission_blocked_pending.
-  bool admission_blocked_ = false;
   // Probe bookkeeping (ProbePayload construction, see Probe()).
   int64_t probe_version_ = 0;
-  int64_t preemptions_at_last_probe_ = 0;
-  bool probed_before_ = false;
   // Inter-token decode-latency EWMA, folded per decode step (alpha = 0.25):
   // a straggler's slowdown becomes probe-visible within a few steps instead
   // of only after whole sequences complete, which is what makes passive

@@ -135,7 +135,6 @@ void DispatchEngine::ResetProbeState() {
   for (ReplicaState& state : replicas_) {
     state.probed_once = false;
     state.pushes_since_probe = 0;
-    state.probed.preemption_delta = 0;
     state.health.Reset();
     state.latency_samples_at_ejection = 0;
   }
@@ -175,11 +174,9 @@ void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
 }
 
 double DispatchEngine::EffectiveLoadOf(const ReplicaState& state) const {
-  // With penalty == 0 this is the exact outstanding count (int -> double is
-  // lossless here), so the strict-less comparisons keep the seed tie-breaks.
-  double load = static_cast<double>(state.outstanding) +
-                config_.preemption_penalty *
-                    static_cast<double>(state.probed.preemption_delta);
+  // The exact outstanding count (int -> double is lossless here), so the
+  // strict-less comparisons keep the seed tie-breaks.
+  double load = static_cast<double>(state.outstanding);
   // Soft failover priority (DESIGN.md §10): degraded and half-open replicas
   // lose least-loaded selection to healthy ones until the healthy tier is
   // this many requests deeper. Unreachable while health is disabled (status

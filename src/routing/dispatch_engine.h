@@ -98,14 +98,6 @@ struct DispatchConfig {
   // seed behavior); kBlind never probes, so the gate cannot affect it.
   double min_free_block_fraction = 0.0;
 
-  // Preemption-aware selective pushing (ISSUE 5): least-loaded scans score
-  // a replica as outstanding + penalty * (preemptions observed between its
-  // last two probes), so replicas thrashing their KV pool lose ties — and,
-  // at higher penalties, whole requests — to calm ones. The delta rides
-  // the probe payload; 0 disables (seed behavior). kBlind never probes, so
-  // the penalty cannot affect it.
-  double preemption_penalty = 0.0;
-
   // Passive outlier detection + request/probe timeouts (DESIGN.md §10).
   // Disabled by default: every resilience code path is gated on
   // outlier.enabled, keeping default-config runs byte-identical to the
@@ -231,11 +223,9 @@ class CandidateView {
   bool IsAvailable(ReplicaId id) const;
 
   // Load score the least-loaded selection minimizes: outstanding, plus the
-  // configured penalty per recently-probed preemption, plus the degraded
-  // penalty for replicas the health machine has deprioritized (the soft
-  // priority tier of DESIGN.md §10). With the penalties at their default 0
-  // and health disabled this is exactly the outstanding count (ties
-  // resolved by scan order, as ever).
+  // degraded penalty for replicas the health machine has deprioritized (the
+  // soft priority tier of DESIGN.md §10). With health disabled this is
+  // exactly the outstanding count (ties resolved by scan order, as ever).
   double EffectiveLoad(const ReplicaState& state) const;
 
   // Lowest-EffectiveLoad *available* replica, or kInvalidReplica.

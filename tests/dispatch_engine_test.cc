@@ -412,47 +412,6 @@ TEST(DispatchEngineTest, FreeBlockGateRoutesAroundMemoryFullReplica) {
   EXPECT_EQ(control.replicas[0]->stats().enqueued, 3 + 1);
 }
 
-TEST(DispatchEngineTest, PreemptionPenaltyDownWeightsThrashingReplicas) {
-  // Preemption-aware selective pushing (ISSUE 5): the least-loaded scans
-  // add `penalty` per preemption the replica reported between its last two
-  // probes, so a lighter-by-outstanding but KV-thrashing replica loses to
-  // a calmer, more loaded one.
-  DispatchConfig config;
-  config.push_mode = PushMode::kSelectivePending;
-  config.preemption_penalty = 2.0;
-  EngineBench bench(2, config);
-  ReplicaState* r0 = bench.engine->FindReplica(0);
-  ReplicaState* r1 = bench.engine->FindReplica(1);
-  r0->probed_once = r1->probed_once = true;
-  r0->outstanding = 1;
-  r0->probed.preemption_delta = 3;  // Effective load 1 + 2*3 = 7.
-  r1->outstanding = 4;         // Effective load 4.
-  // Out-of-band mutation through the mutable FindReplica: the selection
-  // index must be told (engine-internal paths refresh it themselves).
-  bench.engine->RefreshSelectionIndex();
-  bench.engine->set_verify_selection(true);
-  CandidateView view(bench.engine.get());
-  EXPECT_DOUBLE_EQ(view.EffectiveLoad(*r0), 7.0);
-  EXPECT_DOUBLE_EQ(view.EffectiveLoad(*r1), 4.0);
-  EXPECT_EQ(view.LeastLoadedAvailable(), 1);
-  EXPECT_EQ(view.LeastLoadedAmong({0, 1}), 1);
-
-  // Penalty off (the default): raw outstanding wins — seed behavior.
-  DispatchConfig off;
-  off.push_mode = PushMode::kSelectivePending;
-  EngineBench control(2, off);
-  ReplicaState* c0 = control.engine->FindReplica(0);
-  ReplicaState* c1 = control.engine->FindReplica(1);
-  c0->probed_once = c1->probed_once = true;
-  c0->outstanding = 1;
-  c0->probed.preemption_delta = 3;
-  c1->outstanding = 4;
-  control.engine->RefreshSelectionIndex();
-  control.engine->set_verify_selection(true);
-  CandidateView control_view(control.engine.get());
-  EXPECT_EQ(control_view.LeastLoadedAvailable(), 0);
-}
-
 TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectivePending;

@@ -497,47 +497,6 @@ TEST(ReplicaPagedTest, SnapshotReportsHeadroomSignals) {
   EXPECT_EQ(drained.preemptions, replica.stats().preemptions);
 }
 
-TEST(ReplicaTest, PerStepDecodeAdmissionCommitsOneBlockAtATime) {
-  // ISSUE 5: with per_step_decode_admission the output reserve is committed
-  // one block ahead instead of in full, so the committed-future ledger
-  // stays below running * block_size during decode; pressure from the
-  // uncommitted growth resolves through preemption, and everything still
-  // completes.
-  Simulator sim;
-  ReplicaConfig config;
-  config.kv_capacity_tokens = 4096;
-  config.kv_block_size_tokens = 16;
-  config.output_reserve_tokens = 128;
-  config.per_step_decode_admission = true;
-  Replica replica(&sim, 0, 0, config);
-  constexpr int kRequests = 12;
-  std::vector<Completion> done(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
-    replica.Enqueue(MakeRequest(static_cast<RequestId>(i), 200, 200,
-                                static_cast<Token>(i) * 10'000),
-                    Record(&sim, &done[static_cast<size_t>(i)]));
-  }
-  int64_t peak_reserve = 0;
-  int peak_running = 0;
-  for (int tick = 0; tick < 4000 && replica.stats().completed < kRequests;
-       ++tick) {
-    sim.RunFor(Milliseconds(100));
-    peak_reserve =
-        std::max(peak_reserve, replica.reserved_future_tokens());
-    peak_running = std::max(peak_running, replica.running_count());
-  }
-  EXPECT_EQ(replica.stats().completed, kRequests);
-  // One block per running sequence is the commitment ceiling — far below
-  // the full-reserve regime's 128 per sequence.
-  EXPECT_LE(peak_reserve,
-            static_cast<int64_t>(peak_running) * config.kv_block_size_tokens);
-  EXPECT_EQ(replica.reserved_future_tokens(), 0);
-  EXPECT_EQ(replica.kv().seq_resident_tokens(), 0);  // Ledger drained.
-  for (const Completion& c : done) {
-    EXPECT_GE(c.completed, 0);
-  }
-}
-
 // --- Per-step batch composition (ISSUE 8) --------------------------------
 
 // Runs `n` identical mixed prefill/decode requests to completion and
@@ -697,49 +656,43 @@ TEST(ReplicaCompositionTest, EwmaOnlyFoldsStepsThatDecoded) {
   EXPECT_EQ(replica.stats().engine_steps, probe.latency_samples + 2);
 }
 
-TEST(ReplicaProbeTest, MidStepArrivalHiddenOnlyUnderAdmissionBlockedPending) {
-  // ISSUE 8: a request that arrives while a step is in flight is admittable
-  // at the next step boundary — raw probes count it, admission-blocked
-  // probes must not (that's the starvation signal SP-P misreads).
-  for (bool blocked_mode : {false, true}) {
-    Simulator sim;
-    ReplicaConfig config;
-    config.probe_admission_blocked_pending = blocked_mode;
-    Replica replica(&sim, 0, 0, config);
-    Completion a, b;
-    replica.Enqueue(MakeRequest(1, 512, 8), Record(&sim, &a));
-    sim.RunFor(Milliseconds(1));  // Prefill step (~300 ms) now in flight.
-    replica.Enqueue(MakeRequest(2, 512, 8, 10000), Record(&sim, &b));
-    ProbePayload probe = replica.Probe();
-    EXPECT_EQ(probe.pending, blocked_mode ? 0 : 1);
-    sim.Run();  // The arrival still admits and completes normally.
-    EXPECT_EQ(replica.stats().completed, 2);
-  }
+TEST(ReplicaProbeTest, MidStepArrivalCountsAsPending) {
+  // The probe's pending field counts every accepted request not yet in the
+  // batch, including an arrival merely waiting for the in-flight step to
+  // finish: that sensitivity to mid-step queueing is the load signal
+  // selective pushing reads.
+  Simulator sim;
+  Replica replica(&sim, 0, 0, ReplicaConfig{});
+  Completion a, b;
+  replica.Enqueue(MakeRequest(1, 512, 8), Record(&sim, &a));
+  sim.RunFor(Milliseconds(1));  // Prefill step (~300 ms) now in flight.
+  replica.Enqueue(MakeRequest(2, 512, 8, 10000), Record(&sim, &b));
+  ProbePayload probe = replica.Probe();
+  EXPECT_EQ(probe.pending, 1);
+  sim.Run();  // The arrival still admits and completes normally.
+  EXPECT_EQ(replica.stats().completed, 2);
 }
 
 TEST(ReplicaProbeTest, MemoryBlockedPendingStaysVisible) {
-  // The knob must not hide genuine saturation: once an admission pass fails
-  // on memory, the probe reports the blocked queue in both modes.
-  for (bool blocked_mode : {false, true}) {
-    Simulator sim;
-    ReplicaConfig config;
-    config.kv_capacity_tokens = 1024;
-    config.kv_block_size_tokens = 16;
-    config.probe_admission_blocked_pending = blocked_mode;
-    Replica replica(&sim, 0, 0, config);
-    Completion a, b;
-    replica.Enqueue(MakeRequest(1, 768, 256), Record(&sim, &a));
-    replica.Enqueue(MakeRequest(2, 768, 256, 10000), Record(&sim, &b));
-    // Several step boundaries pass; each Admit() finds request 2 blocked on
-    // memory (768 + reserve won't fit beside request 1's footprint).
-    sim.RunFor(Milliseconds(500));
-    ASSERT_EQ(replica.running_count(), 1);
-    ASSERT_EQ(replica.pending_count(), 1);
-    ProbePayload probe = replica.Probe();
-    EXPECT_EQ(probe.pending, 1);
-    sim.Run();
-    EXPECT_EQ(replica.stats().completed, 2);
-  }
+  // Genuine saturation shows too: a request an admission pass cannot place
+  // on memory is reported pending.
+  Simulator sim;
+  ReplicaConfig config;
+  config.kv_capacity_tokens = 1024;
+  config.kv_block_size_tokens = 16;
+  Replica replica(&sim, 0, 0, config);
+  Completion a, b;
+  replica.Enqueue(MakeRequest(1, 768, 256), Record(&sim, &a));
+  replica.Enqueue(MakeRequest(2, 768, 256, 10000), Record(&sim, &b));
+  // Several step boundaries pass; each Admit() finds request 2 blocked on
+  // memory (768 + reserve won't fit beside request 1's footprint).
+  sim.RunFor(Milliseconds(500));
+  ASSERT_EQ(replica.running_count(), 1);
+  ASSERT_EQ(replica.pending_count(), 1);
+  ProbePayload probe = replica.Probe();
+  EXPECT_EQ(probe.pending, 1);
+  sim.Run();
+  EXPECT_EQ(replica.stats().completed, 2);
 }
 
 }  // namespace

@@ -96,9 +96,6 @@ DispatchConfig RandomConfig(Rng& rng) {
   if (rng.UniformInt(0, 1) == 1) {
     config.min_free_block_fraction = rng.Uniform(0.0, 0.6);
   }
-  if (rng.UniformInt(0, 1) == 1) {
-    config.preemption_penalty = rng.Uniform(0.0, 3.0);
-  }
   config.outlier.enabled = true;
   // 0 makes degraded/healthy load ties common — the interesting case for
   // tie-break agreement.
@@ -123,7 +120,6 @@ void MutateOne(Rng& rng, Fleet& fleet) {
     case 1: {  // Probe response landed.
       state->probed_once = true;
       state->probed.pending = static_cast<int>(rng.UniformInt(0, 2));
-      state->probed.preemption_delta = rng.UniformInt(0, 4);
       state->probed.total_blocks = 100;
       state->probed.free_blocks = rng.UniformInt(0, 100);
       state->pushes_since_probe = 0;
