@@ -17,12 +17,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
 #include "src/analysis/metrics.h"
 #include "src/common/table.h"
-#include "src/harness/experiment.h"
 #include "src/lb/policies.h"
 #include "src/net/topology.h"
 
@@ -30,20 +30,12 @@ namespace skywalker {
 
 namespace {
 
-SystemSpec AblationBaseSystem() {
-  SystemSpec spec;
-  spec.kind = SystemKind::kSkyWalker;
-  spec.replicas_per_region = {2, 2, 2};
-  spec.replica_config.max_running_requests = 32;
-  spec.replica_config.kv_capacity_tokens = 40960;
-  return spec;
-}
-
-ExperimentConfig AblationConfig(bool smoke) {
-  ExperimentConfig config;
-  config.warmup = smoke ? Seconds(5) : Seconds(30);
-  config.measure = smoke ? Seconds(15) : Seconds(150);
-  return config;
+// SkyWalker on `replicas_per_region` serving `workload`.
+FleetSpec AblationFleet(const WorkloadSpec& workload, bool smoke,
+                        std::vector<int> replicas_per_region = {2, 2, 2}) {
+  return PaperFleet(workload, std::move(replicas_per_region),
+                    smoke ? Seconds(5) : Seconds(30),
+                    smoke ? Seconds(15) : Seconds(150));
 }
 
 WorkloadSpec AblationWorkload(uint64_t canonical_seed,
@@ -51,6 +43,12 @@ WorkloadSpec AblationWorkload(uint64_t canonical_seed,
   WorkloadSpec spec = UniformChatWorkload(
       options.smoke ? 8 : 30, MixSeed(canonical_seed, options.seed_stream));
   return spec;
+}
+
+MetricRow AblationRow(const std::string& label, const FleetSpec& spec,
+                      int total_replicas) {
+  return ExperimentMetricRow(label, RunFleetExperiment(spec).metrics,
+                             total_replicas);
 }
 
 // Sweep scenarios share this shape: one cell per knob setting, standard
@@ -83,13 +81,10 @@ Scenario MakeAblationProbeIntervalScenario() {
         for (int ms : {20, 50, 100, 200, 400}) {
           const std::string label = std::to_string(ms) + " ms";
           cells.push_back(ScenarioCell{label, [ms, label, options] {
-            SystemSpec spec = AblationBaseSystem();
-            spec.skywalker.engine.probe_interval = Milliseconds(ms);
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), spec,
-                                     AblationWorkload(1201, options),
-                                     AblationConfig(options.smoke)),
-                6);
+            FleetSpec spec =
+                AblationFleet(AblationWorkload(1201, options), options.smoke);
+            spec.lb.engine.probe_interval = Milliseconds(ms);
+            MetricRow row = AblationRow(label, spec, 6);
             row.Dim("probe_interval_ms", std::to_string(ms));
             return std::vector<MetricRow>{std::move(row)};
           }});
@@ -108,13 +103,10 @@ Scenario MakeAblationPushSlackScenario() {
         for (int slack : {1, 4, 16, 32, 128}) {
           const std::string label = std::to_string(slack);
           cells.push_back(ScenarioCell{label, [slack, label, options] {
-            SystemSpec spec = AblationBaseSystem();
-            spec.skywalker.engine.push_slack = slack;
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), spec,
-                                     AblationWorkload(1202, options),
-                                     AblationConfig(options.smoke)),
-                6);
+            FleetSpec spec =
+                AblationFleet(AblationWorkload(1202, options), options.smoke);
+            spec.lb.engine.push_slack = slack;
+            MetricRow row = AblationRow(label, spec, 6);
             row.Dim("push_slack", label);
             return std::vector<MetricRow>{std::move(row)};
           }});
@@ -133,13 +125,10 @@ Scenario MakeAblationExploreThresholdScenario() {
         for (double threshold : {0.0, 0.25, 0.5, 0.75, 1.01}) {
           const std::string label = Table::Num(threshold, 2);
           cells.push_back(ScenarioCell{label, [threshold, label, options] {
-            SystemSpec spec = AblationBaseSystem();
-            spec.skywalker.routing.explore_threshold = threshold;
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), spec,
-                                     AblationWorkload(1203, options),
-                                     AblationConfig(options.smoke)),
-                6);
+            FleetSpec spec =
+                AblationFleet(AblationWorkload(1203, options), options.smoke);
+            spec.lb.routing.explore_threshold = threshold;
+            MetricRow row = AblationRow(label, spec, 6);
             row.Dim("explore_threshold", label);
             return std::vector<MetricRow>{std::move(row)};
           }});
@@ -158,26 +147,22 @@ Scenario MakeAblationMigrationControlScenario() {
         auto run = [options](const std::string& label,
                              double affinity_threshold, int patience,
                              bool use_defaults) {
-          SystemSpec spec = AblationBaseSystem();
-          spec.replicas_per_region = {3, 3, 3};
-          if (!use_defaults) {
-            if (affinity_threshold > 0) {
-              spec.skywalker.routing.remote_affinity_threshold = affinity_threshold;
-            }
-            if (patience >= 0) {
-              spec.skywalker.routing.forward_patience = patience;
-            }
-          }
           WorkloadSpec skew = SkewedChatWorkload(
               {120, 40, 40}, MixSeed(1204, options.seed_stream));
           if (options.smoke) {
             skew.ScaleClients(0.25);
           }
           // The migration study runs the larger {3,3,3} fleet.
-          MetricRow row = ExperimentMetricRow(
-              label, RunExperiment(Topology::ThreeContinents(), spec, skew,
-                                   AblationConfig(options.smoke)),
-              9);
+          FleetSpec spec = AblationFleet(skew, options.smoke, {3, 3, 3});
+          if (!use_defaults) {
+            if (affinity_threshold > 0) {
+              spec.lb.routing.remote_affinity_threshold = affinity_threshold;
+            }
+            if (patience >= 0) {
+              spec.lb.routing.forward_patience = patience;
+            }
+          }
+          MetricRow row = AblationRow(label, spec, 9);
           row.Dim("setting", label);
           return std::vector<MetricRow>{std::move(row)};
         };
@@ -320,12 +305,9 @@ Scenario MakeAblationShortPromptScenario() {
             WorkloadSpec spec = AblationWorkload(1206, options);
             spec.conversation.lengths.input_mu = 3.4;  // Shorter messages.
             spec.conversation.turns_mean = 2;
-            SystemSpec system = AblationBaseSystem();
-            system.skywalker.routing.short_prompt_threshold = threshold;
-            MetricRow row = ExperimentMetricRow(
-                label, RunExperiment(Topology::ThreeContinents(), system,
-                                     spec, AblationConfig(options.smoke)),
-                6);
+            FleetSpec fleet = AblationFleet(spec, options.smoke);
+            fleet.lb.routing.short_prompt_threshold = threshold;
+            MetricRow row = AblationRow(label, fleet, 6);
             row.Dim("short_prompt_threshold", std::to_string(threshold));
             return std::vector<MetricRow>{std::move(row)};
           }});

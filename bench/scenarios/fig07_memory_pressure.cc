@@ -297,7 +297,7 @@ Scenario MakeFig07MemoryPressureScenario() {
          PreemptPolicy::kSwap},
     };
     std::vector<MemoryCase> all_cases(std::begin(cases), std::end(cases));
-    // ISSUE 8 saturation cross, rows 6..21: (BP, SP-P) x (recompute, swap)
+    // Saturation cross, rows 6..21: (BP, SP-P) x (recompute, swap)
     // x (kLruLeaf, kColdSubtree) x (default, decode-first composition) at
     // b16 under the saturated workload. Loop order fixes the row indices
     // the finalize below depends on.
@@ -354,7 +354,7 @@ Scenario MakeFig07MemoryPressureScenario() {
           "spp_b16_swap_ttft_p90_over_recompute_x",
           safe_div(*report.rows[3].Find(metric_keys::kTtftP90),
                    *report.rows[2].Find(metric_keys::kTtftP90)));
-      // ISSUE 8 saturation cross (rows 6..21, loop order bp/spp x
+      // Saturation cross (rows 6..21, loop order bp/spp x
       // recompute/swap x lruleaf/coldsubtree x default/decodefirst).
       // Saturated SP-P/BP gap at seed policies — the headline the CI
       // floor guards:

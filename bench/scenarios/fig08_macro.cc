@@ -18,34 +18,49 @@
 #include <iterator>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
-#include "src/harness/experiment.h"
 #include "src/net/topology.h"
 
 namespace skywalker {
 
-namespace {
-
-SystemSpec MacroSystemSpec(SystemKind kind,
-                           const std::vector<int>& replicas_per_region) {
-  SystemSpec spec;
-  spec.kind = kind;
-  spec.replicas_per_region = replicas_per_region;
-  spec.central_lb_region = 0;  // Single-LB baselines deploy in the US.
-  spec.baseline_lb.engine.push_mode = PushMode::kBlind;
-  // L4 band (paper: 20-50 concurrent requests per replica).
+FleetSpec PaperFleet(const WorkloadSpec& workload,
+                     std::vector<int> replicas_per_region, SimDuration warmup,
+                     SimDuration measure) {
+  FleetSpec spec;
+  spec.topology = Topology::ThreeContinents();
+  spec.replicas_per_region = std::move(replicas_per_region);
   spec.replica_config.max_running_requests = 32;
   spec.replica_config.kv_capacity_tokens = 40960;
+  spec.conversation = workload.conversation;
+  spec.groups = workload.groups;
+  spec.seed = workload.seed;
+  spec.warmup = warmup;
+  spec.measure = measure;
   return spec;
 }
 
-constexpr SystemKind kSystems[] = {
-    SystemKind::kGkeGateway,   SystemKind::kRoundRobin,
-    SystemKind::kLeastLoad,    SystemKind::kConsistentHash,
-    SystemKind::kSglRouter,    SystemKind::kSkyWalkerCh,
-    SystemKind::kSkyWalker,
+namespace {
+
+// One Fig. 8 system under its paper name. SkyWalker-CH is SkyWalker with
+// two-layer consistent hashing in place of the prefix trees.
+struct MacroSystem {
+  const char* name;
+  SystemKind kind;
+  RoutingPolicyKind policy = RoutingPolicyKind::kPrefixTree;
+};
+
+constexpr MacroSystem kSystems[] = {
+    {"GKE-Gateway", SystemKind::kGkeGateway},
+    {"RR", SystemKind::kRoundRobin},
+    {"LL", SystemKind::kLeastLoad},
+    {"CH", SystemKind::kConsistentHash},
+    {"SGL", SystemKind::kSglRouter},
+    {"SkyWalker-CH", SystemKind::kSkyWalker,
+     RoutingPolicyKind::kConsistentHash},
+    {"SkyWalker", SystemKind::kSkyWalker},
 };
 
 MacroWorkloadCase MakeCase(int workload, const ScenarioOptions& options) {
@@ -70,15 +85,18 @@ MacroWorkloadCase MakeCase(int workload, const ScenarioOptions& options) {
   return wc;
 }
 
-ExperimentConfig MacroConfig(bool smoke) {
-  ExperimentConfig config;
-  // Durations hold the system at the paper's high-utilization operating
-  // point. Much longer windows let closed-loop conversations accumulate
-  // context until every system collapses into queueing-dominated overload,
-  // which masks the routing effects the figure is about.
-  config.warmup = smoke ? Seconds(5) : Seconds(30);
-  config.measure = smoke ? Seconds(15) : Seconds(120);
-  return config;
+// Durations hold the system at the paper's high-utilization operating
+// point. Much longer windows let closed-loop conversations accumulate
+// context until every system collapses into queueing-dominated overload,
+// which masks the routing effects the figure is about.
+FleetSpec MacroFleet(const MacroWorkloadCase& wc, const MacroSystem& system,
+                     bool smoke) {
+  FleetSpec spec = PaperFleet(wc.spec, wc.replicas_per_region,
+                              smoke ? Seconds(5) : Seconds(30),
+                              smoke ? Seconds(15) : Seconds(120));
+  spec.system = system.kind;
+  spec.lb.routing.policy = system.policy;
+  return spec;
 }
 
 }  // namespace
@@ -97,21 +115,19 @@ Scenario MakeFig08MacroScenario() {
     for (int w = 0; w < 4; ++w) {
       // Rebuilding the case per cell is deterministic, so cells stay
       // independent without sharing state.
-      for (SystemKind kind : kSystems) {
+      for (const MacroSystem& system : kSystems) {
         const std::string label = MakeCase(w, options).name + "/" +
-                                  std::string(SystemKindName(kind));
-        plan.cells.push_back(ScenarioCell{label, [w, kind, options, label] {
+                                  system.name;
+        plan.cells.push_back(ScenarioCell{label, [w, system, options, label] {
           MacroWorkloadCase wc = MakeCase(w, options);
-          SystemSpec spec = MacroSystemSpec(kind, wc.replicas_per_region);
-          ExperimentResult result =
-              RunExperiment(Topology::ThreeContinents(), spec, wc.spec,
-                            MacroConfig(options.smoke));
+          FleetResult result =
+              RunFleetExperiment(MacroFleet(wc, system, options.smoke));
           const int replicas =
               std::accumulate(wc.replicas_per_region.begin(),
                               wc.replicas_per_region.end(), 0);
-          MetricRow row = ExperimentMetricRow(label, result, replicas);
+          MetricRow row = ExperimentMetricRow(label, result.metrics, replicas);
           row.Dim("workload", wc.name);
-          row.Dim("system", std::string(SystemKindName(kind)));
+          row.Dim("system", system.name);
           return std::vector<MetricRow>{std::move(row)};
         }});
       }
@@ -131,18 +147,13 @@ Scenario MakeFig08MacroScenario() {
         for (size_t s = 0; s < stride; ++s) {
           const MetricRow& row = report.rows[w * stride + s];
           const double tput = *row.Find(metric_keys::kThroughputTokS);
-          switch (kSystems[s]) {
-            case SystemKind::kRoundRobin:
-            case SystemKind::kLeastLoad:
-            case SystemKind::kConsistentHash:
-            case SystemKind::kSglRouter:
-              best_baseline = std::max(best_baseline, tput);
-              break;
-            case SystemKind::kSkyWalker:
+          const MacroSystem& system = kSystems[s];
+          if (system.kind == SystemKind::kSkyWalker) {
+            if (system.policy == RoutingPolicyKind::kPrefixTree) {
               sky = tput;
-              break;
-            default:
-              break;
+            }
+          } else if (system.kind != SystemKind::kGkeGateway) {
+            best_baseline = std::max(best_baseline, tput);
           }
           for (const auto& [k, v] : row.dims) {
             if (k == "workload") {

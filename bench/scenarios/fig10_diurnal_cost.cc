@@ -11,8 +11,6 @@
 
 #include "bench/scenarios/scenarios.h"
 #include "src/analysis/cost_model.h"
-#include "src/harness/experiment.h"
-#include "src/net/topology.h"
 
 namespace skywalker {
 
@@ -28,30 +26,28 @@ std::vector<int> EvenSplit(int total) {
   return split;
 }
 
-MetricRow RunOne(SystemKind kind, int total_replicas,
+// Region-Local is SkyWalker with cross-region forwarding disabled.
+constexpr const char* kSystemNames[] = {"Region-Local", "SkyWalker"};
+
+MetricRow RunOne(bool forwarding, int total_replicas,
                  const ScenarioOptions& options) {
-  SystemSpec spec;
-  spec.kind = kind;
-  spec.replicas_per_region = EvenSplit(total_replicas);
-  // L4 band (paper: 20-50 concurrent requests per replica): the batch must
-  // actually fill under regional overload for offloading to engage.
-  spec.replica_config.max_running_requests = 32;
-  spec.replica_config.kv_capacity_tokens = 40960;
-  ExperimentConfig config;
-  config.warmup = options.smoke ? Seconds(5) : Seconds(60);
-  config.measure = options.smoke ? Seconds(15) : Seconds(300);
   WorkloadSpec workload =
       SkewedChatWorkload({120, 40, 40}, MixSeed(101, options.seed_stream));
   if (options.smoke) {
     workload.ScaleClients(0.25);
   }
-  ExperimentResult result =
-      RunExperiment(Topology::ThreeContinents(), spec, workload, config);
-  const std::string label = std::to_string(total_replicas) + "/" +
-                            std::string(SystemKindName(kind));
-  MetricRow row = ExperimentMetricRow(label, result, total_replicas);
+  // The L4 batch must actually fill under regional overload for offloading
+  // to engage.
+  FleetSpec spec = PaperFleet(workload, EvenSplit(total_replicas),
+                              options.smoke ? Seconds(5) : Seconds(60),
+                              options.smoke ? Seconds(15) : Seconds(300));
+  spec.lb.routing.enable_forwarding = forwarding;
+  const std::string system = kSystemNames[forwarding ? 1 : 0];
+  const std::string label = std::to_string(total_replicas) + "/" + system;
+  MetricRow row = ExperimentMetricRow(label, RunFleetExperiment(spec).metrics,
+                                      total_replicas);
   row.Dim("replicas", std::to_string(total_replicas));
-  row.Dim("system", std::string(SystemKindName(kind)));
+  row.Dim("system", system);
   return row;
 }
 
@@ -69,13 +65,14 @@ Scenario MakeFig10DiurnalCostScenario() {
   scenario.plan = [](const ScenarioOptions& options) {
     ScenarioPlan plan;
     for (int replicas : kReplicaSweep) {
-      for (SystemKind kind :
-           {SystemKind::kRegionLocal, SystemKind::kSkyWalker}) {
+      for (bool forwarding : {false, true}) {
         const std::string label = std::to_string(replicas) + "/" +
-                                  std::string(SystemKindName(kind));
-        plan.cells.push_back(ScenarioCell{label, [kind, replicas, options] {
-          return std::vector<MetricRow>{RunOne(kind, replicas, options)};
-        }});
+                                  kSystemNames[forwarding ? 1 : 0];
+        plan.cells.push_back(
+            ScenarioCell{label, [forwarding, replicas, options] {
+              return std::vector<MetricRow>{
+                  RunOne(forwarding, replicas, options)};
+            }});
       }
     }
     plan.finalize = [](const std::vector<std::vector<MetricRow>>& cell_rows) {

@@ -11,9 +11,21 @@
 #ifndef SKYWALKER_BENCH_SCENARIOS_SCENARIOS_H_
 #define SKYWALKER_BENCH_SCENARIOS_SCENARIOS_H_
 
+#include <vector>
+
+#include "src/harness/fleet.h"
 #include "src/harness/scenario.h"
+#include "src/workload/spec.h"
 
 namespace skywalker {
+
+// The three-continent fleet fig08, fig10 and the ablations share: L4-band
+// replicas (paper: 20-50 concurrent requests each, so 32 running and a
+// 40960-token KV) serving `workload`'s client groups and conversation mix,
+// seeded by workload.seed. Callers pick the system and LB knobs.
+FleetSpec PaperFleet(const WorkloadSpec& workload,
+                     std::vector<int> replicas_per_region, SimDuration warmup,
+                     SimDuration measure);
 
 Scenario MakeFig02DiurnalTrafficScenario();
 Scenario MakeFig03aLoadAggregationScenario();

@@ -83,7 +83,7 @@ int main() {
   std::printf("  forwarded fraction : %.1f%%\n",
               metrics.ForwardedFraction() * 100);
   std::printf("  cache hit rate     : %.1f%%\n",
-              deployment->AggregateCacheHitRate() * 100);
+              AggregateCacheHitRate(deployment->replicas()) * 100);
 
   // Cost implication: provisioning for the aggregated global peak instead of
   // three regional peaks (paper Fig. 3b).

@@ -60,7 +60,7 @@ int main() {
   std::printf("  E2E  p50 / p90     : %.2f s / %.2f s\n", e2e.Percentile(50),
               e2e.Percentile(90));
   std::printf("  prefix-cache hits  : %.1f%%\n",
-              deployment->AggregateCacheHitRate() * 100);
+              AggregateCacheHitRate(deployment->replicas()) * 100);
   std::printf("  cross-region fwd   : %.1f%% of requests\n",
               metrics.ForwardedFraction() * 100);
   return 0;

@@ -8,19 +8,22 @@
 //   $ ./build/examples/tree_of_thoughts
 
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
-#include "src/analysis/metrics.h"
-#include "src/harness/experiment.h"
+#include "src/harness/fleet.h"
 
 using namespace skywalker;  // Example code; the library never does this.
 
 namespace {
 
-WorkloadSpec TreeWorkload() {
-  WorkloadSpec spec;
+void RunOne(SystemKind kind) {
+  FleetSpec spec;
+  spec.topology = Topology::ThreeContinents();
+  spec.system = kind;
+  spec.replicas_per_region = {2, 2, 2};
   spec.seed = 404;
+  spec.warmup = Seconds(20);
+  spec.measure = Seconds(120);
   for (RegionId region = 0; region < 3; ++region) {
     ClientGroup group;
     group.kind = ClientGroup::Kind::kToT;
@@ -34,18 +37,7 @@ WorkloadSpec TreeWorkload() {
     group.client.program_gap_mean = Seconds(1);
     spec.groups.push_back(group);
   }
-  return spec;
-}
-
-void RunOne(SystemKind kind) {
-  SystemSpec spec;
-  spec.kind = kind;
-  spec.replicas_per_region = {2, 2, 2};
-  ExperimentConfig config;
-  config.warmup = Seconds(20);
-  config.measure = Seconds(120);
-  ExperimentResult result = RunExperiment(Topology::ThreeContinents(), spec,
-                                          TreeWorkload(), config);
+  const ExperimentResult result = RunFleetExperiment(spec).metrics;
   std::printf("%-14s tput %6.0f tok/s | TTFT p50 %6.3f s | hit %5.1f%% | "
               "%zu requests\n",
               std::string(result.system).c_str(), result.throughput_tok_s,

@@ -17,6 +17,13 @@ namespace skywalker {
 using Token = int32_t;
 using TokenSeq = std::vector<Token>;
 
+// Fresh-token band of a per-client generator fork (fleet runs). Tokens are
+// 32 bits wide, so forks take the negative half, which base generators
+// never touch: client i owns [-(i + 1) * kForkTokenBand, -i * kForkTokenBand)
+// for i < kMaxForkClients.
+constexpr int64_t kForkTokenBand = int64_t{1} << 20;
+constexpr uint64_t kMaxForkClients = uint64_t{1} << 11;
+
 // Length of the common prefix of a[0..n) and b[0..n). The radix walk's
 // innermost loop: long edges take one SIMD memcmp (full equality is the hot
 // case — walking through an interior node), short edges stay scalar because

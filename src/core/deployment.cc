@@ -71,17 +71,6 @@ SkyWalkerLb* Deployment::LbInRegion(RegionId region) {
   return nullptr;
 }
 
-double Deployment::AggregateCacheHitRate() const {
-  int64_t hits = 0;
-  int64_t lookups = 0;
-  for (const auto& replica : replicas_) {
-    hits += replica->cache().hit_tokens();
-    lookups += replica->cache().lookup_tokens();
-  }
-  return lookups == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(lookups);
-}
-
 int64_t Deployment::TotalForwarded() const {
   int64_t total = 0;
   for (const auto& lb : lbs_) {

@@ -58,8 +58,6 @@ class Deployment {
 
   SkyWalkerLb* LbInRegion(RegionId region);
 
-  // Aggregate prefix-cache hit rate across all replicas (token-weighted).
-  double AggregateCacheHitRate() const;
   // Sum of forwarded_out over all LBs.
   int64_t TotalForwarded() const;
 

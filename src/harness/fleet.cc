@@ -7,12 +7,16 @@
 #include <tuple>
 #include <utility>
 
+#include "src/analysis/cost_model.h"
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/strings.h"
 #include "src/core/deployment.h"
+#include "src/core/dns.h"
 #include "src/harness/scenario.h"
+#include "src/lb/gateway.h"
+#include "src/lb/policies.h"
 #include "src/net/network.h"
 #include "src/sim/simulator.h"
 
@@ -20,20 +24,156 @@ namespace skywalker {
 
 namespace {
 
+// Single-LB baselines deploy here (the paper puts them in the US).
+constexpr RegionId kCentralLbRegion = 0;
+
 // Canonical outcome order: independent of which shard recorded what when.
 bool OutcomeBefore(const RequestOutcome& a, const RequestOutcome& b) {
   return std::tie(a.completion_time, a.submit_time, a.client_region, a.id) <
          std::tie(b.completion_time, b.submit_time, b.client_region, b.id);
 }
 
+bool IsLbFault(const FleetFault& fault) {
+  return fault.kind == FleetFault::kLbFail ||
+         fault.kind == FleetFault::kLbRecover;
+}
+
+// A baseline frontend (every kind but kSkyWalker) and the replicas it owns.
+struct BaselineSystem {
+  std::vector<std::unique_ptr<Replica>> replicas;
+  std::unique_ptr<GatewayLb> gateway;
+  std::unique_ptr<LoadBalancer> central_lb;
+  std::unique_ptr<FrontendResolver> resolver;
+};
+
+std::unique_ptr<LoadBalancer> MakeCentralLb(SystemKind kind, Simulator* sim,
+                                            Network* net) {
+  const LbConfig config;  // Blind pushing; SGL's cache-aware defaults.
+  switch (kind) {
+    case SystemKind::kRoundRobin:
+      return std::make_unique<RoundRobinLb>(sim, net, 0, kCentralLbRegion,
+                                            config);
+    case SystemKind::kLeastLoad:
+      return std::make_unique<LeastLoadLb>(sim, net, 0, kCentralLbRegion,
+                                           config);
+    case SystemKind::kConsistentHash:
+      return std::make_unique<ConsistentHashLb>(sim, net, 0, kCentralLbRegion,
+                                                config);
+    case SystemKind::kSglRouter:
+      return std::make_unique<SglRouterLb>(sim, net, 0, kCentralLbRegion,
+                                           config);
+    default:
+      SKYWALKER_CHECK(false) << "not a central-LB system";
+      return nullptr;
+  }
+}
+
+BaselineSystem BuildBaseline(const FleetSpec& spec, Network* net) {
+  BaselineSystem system;
+  ReplicaId next_replica = 0;
+  for (RegionId region = 0;
+       region < static_cast<RegionId>(spec.replicas_per_region.size());
+       ++region) {
+    for (int i = 0; i < spec.replicas_per_region[static_cast<size_t>(region)];
+         ++i) {
+      system.replicas.push_back(std::make_unique<Replica>(
+          net->SimForRegion(region), next_replica++, region,
+          spec.replica_config));
+    }
+  }
+  Simulator* central_sim = net->SimForRegion(kCentralLbRegion);
+  if (spec.system == SystemKind::kGkeGateway) {
+    system.gateway =
+        std::make_unique<GatewayLb>(central_sim, net, GatewayConfig{});
+    auto resolver = std::make_unique<NearestFrontendResolver>(&net->topology());
+    for (const auto& replica : system.replicas) {
+      system.gateway->AttachReplica(replica.get());
+    }
+    for (RegionId region = 0;
+         region < static_cast<RegionId>(spec.replicas_per_region.size());
+         ++region) {
+      resolver->AddFrontend(system.gateway->EndpointFor(region));
+    }
+    system.resolver = std::move(resolver);
+    return system;
+  }
+  system.central_lb = MakeCentralLb(spec.system, central_sim, net);
+  for (const auto& replica : system.replicas) {
+    system.central_lb->AttachReplica(replica.get());
+  }
+  system.resolver =
+      std::make_unique<SingleFrontendResolver>(system.central_lb.get());
+  return system;
+}
+
+// One cohort of identical clients; `start` offsets its 5 s stagger.
+// `legacy_token_band` marks the base population and the waves, whose
+// conversation forks keep the shared legacy token band (see
+// ConversationGenerator) so fleet runs committed before the fork bands
+// replay byte-identically.
+struct Cohort {
+  ClientGroup group;
+  SimDuration start = 0;
+  bool legacy_token_band = false;
+};
+
+// Base population, then waves, then groups: the order fixes client indices.
+std::vector<Cohort> Cohorts(const FleetSpec& spec) {
+  std::vector<Cohort> cohorts;
+  for (RegionId region = 0;
+       region < static_cast<RegionId>(spec.topology.num_regions()); ++region) {
+    ClientGroup base;
+    base.region = region;
+    base.count = spec.clients_per_region;
+    base.client = spec.client;
+    cohorts.push_back({base, 0, true});
+  }
+  for (const FleetClientWave& wave : spec.client_waves) {
+    ClientGroup group;
+    group.region = wave.region;
+    group.count = wave.count;
+    group.client = spec.client;
+    group.client.stop_issuing_after = wave.stop_issuing_after;
+    cohorts.push_back({group, wave.start, true});
+  }
+  for (const ClientGroup& group : spec.groups) {
+    cohorts.push_back({group, 0, false});
+  }
+  return cohorts;
+}
+
 }  // namespace
+
+std::string_view SystemKindName(SystemKind kind) {
+  switch (kind) {
+    case SystemKind::kSkyWalker:
+      return "SkyWalker";
+    case SystemKind::kGkeGateway:
+      return "GKE-Gateway";
+    case SystemKind::kRoundRobin:
+      return "RR";
+    case SystemKind::kLeastLoad:
+      return "LL";
+    case SystemKind::kConsistentHash:
+      return "CH";
+    case SystemKind::kSglRouter:
+      return "SGL";
+  }
+  return "unknown";
+}
 
 FleetResult RunFleetExperiment(const FleetSpec& spec) {
   const Topology& topology = spec.topology;
   const size_t num_regions = topology.num_regions();
   SKYWALKER_CHECK(spec.replicas_per_region.size() == num_regions)
       << "replicas_per_region must match the topology";
-  SKYWALKER_CHECK(spec.clients_per_region > 0) << "fleet needs clients";
+  const bool skywalker = spec.system == SystemKind::kSkyWalker;
+  const bool lb_faults =
+      std::any_of(spec.faults.begin(), spec.faults.end(), IsLbFault);
+  SKYWALKER_CHECK(spec.num_shards <= 0 || (skywalker && !lb_faults))
+      << "sharded fleets run SkyWalker without LB fail/recover faults";
+  SKYWALKER_CHECK(skywalker || (!lb_faults && spec.config_updates.empty()))
+      << "LB faults and config updates need SkyWalker LBs";
 
   // --- simulation substrate: plain reference or sharded ---
   std::unique_ptr<Simulator> plain_sim;
@@ -56,26 +196,37 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     }
   }
 
-  // --- serving system ---
-  DeploymentSpec dspec;
-  dspec.replicas_per_region = spec.replicas_per_region;
-  dspec.replica_config = spec.replica_config;
-  dspec.lb_config = spec.lb;
-  dspec.controller_config = spec.controller;
-  // Runtime-config store, created only when something will be published
-  // (subscription delivery alone must not perturb the static fast path).
+  // --- serving system: SkyWalker deployment or a baseline ---
   std::unique_ptr<ConfigStore> config_store;
-  if (!spec.config_updates.empty()) {
-    config_store = std::make_unique<ConfigStore>(spec.lb.runtime());
-    dspec.config_store = config_store.get();
+  std::unique_ptr<Deployment> deployment;
+  BaselineSystem baseline;
+  if (skywalker) {
+    DeploymentSpec dspec;
+    dspec.replicas_per_region = spec.replicas_per_region;
+    dspec.replica_config = spec.replica_config;
+    dspec.lb_config = spec.lb;
+    dspec.controller_config = spec.controller;
+    // Runtime-config store, created only when something will be published
+    // (subscription delivery alone must not perturb the static fast path).
+    if (!spec.config_updates.empty()) {
+      config_store = std::make_unique<ConfigStore>(spec.lb.runtime());
+      dspec.config_store = config_store.get();
+    }
+    Simulator* controller_sim =
+        net->SimForRegion(dspec.controller_config.home_region);
+    deployment = Deployment::Build(controller_sim, net.get(), dspec);
+    // Setup-time publishes (after Build so every LB is subscribed; see the
+    // determinism contract in src/core/runtime_config.h).
+    for (const FleetConfigUpdate& update : spec.config_updates) {
+      config_store->PublishAt(update.at, update.config);
+    }
+  } else {
+    baseline = BuildBaseline(spec, net.get());
   }
-  Simulator* controller_sim = net->SimForRegion(dspec.controller_config.home_region);
-  auto deployment = Deployment::Build(controller_sim, net.get(), dspec);
-  // Setup-time publishes (after Build so every LB is subscribed; see the
-  // determinism contract in src/core/runtime_config.h).
-  for (const FleetConfigUpdate& update : spec.config_updates) {
-    config_store->PublishAt(update.at, update.config);
-  }
+  const std::vector<std::unique_ptr<Replica>>& replicas =
+      skywalker ? deployment->replicas() : baseline.replicas;
+  FrontendResolver* resolver =
+      skywalker ? deployment->resolver() : baseline.resolver.get();
 
   // --- per-region metric collectors (each written only by its shard) ---
   const SimTime measure_end = spec.warmup + spec.measure;
@@ -87,64 +238,53 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     collectors.push_back(std::move(collector));
   }
 
-  // --- client population: everything derived from (seed, client index) ---
+  // --- client population: everything derived from (seed, client index),
+  // indices running over the cohorts so id ranges stay disjoint ---
   ConversationGenerator base_gen(spec.conversation, num_regions, spec.seed);
-  std::vector<std::unique_ptr<ConversationGenerator>> generators;
-  std::vector<std::unique_ptr<ConversationClient>> clients;
+  std::vector<std::unique_ptr<ConversationGenerator>> conversation_gens;
+  std::vector<std::unique_ptr<ToTGenerator>> tot_gens;
+  std::vector<std::unique_ptr<ClosedLoopClient>> clients;
   std::vector<SimDuration> staggers;
-  for (RegionId region = 0; region < static_cast<RegionId>(num_regions);
-       ++region) {
-    Simulator* region_sim = net->SimForRegion(region);
-    for (int i = 0; i < spec.clients_per_region; ++i) {
-      const uint64_t index =
-          static_cast<uint64_t>(region) *
-              static_cast<uint64_t>(spec.clients_per_region) +
-          static_cast<uint64_t>(i);
-      generators.push_back(std::make_unique<ConversationGenerator>(
-          base_gen, index, MixSeed(spec.seed + 1000, index + 1)));
-      ClientConfig client_config = spec.client;
+  uint64_t index = 0;
+  for (const Cohort& cohort : Cohorts(spec)) {
+    const ClientGroup& group = cohort.group;
+    Simulator* region_sim = net->SimForRegion(group.region);
+    MetricsCollector* collector =
+        collectors[static_cast<size_t>(group.region)].get();
+    for (int i = 0; i < group.count; ++i, ++index) {
+      const uint64_t generator_seed = MixSeed(spec.seed + 1000, index + 1);
+      const uint64_t client_seed = MixSeed(spec.seed + 2000, index + 1);
+      ClientConfig client_config = group.client;
       client_config.request_id_base =
           static_cast<RequestId>((index + 1) << 32);
-      clients.push_back(std::make_unique<ConversationClient>(
-          region_sim, net.get(), deployment->resolver(),
-          generators.back().get(), collectors[static_cast<size_t>(region)].get(),
-          region, client_config, MixSeed(spec.seed + 2000, index + 1)));
+      if (group.kind == ClientGroup::Kind::kConversation) {
+        conversation_gens.push_back(std::make_unique<ConversationGenerator>(
+            base_gen, index, generator_seed, cohort.legacy_token_band));
+        clients.push_back(std::make_unique<ConversationClient>(
+            region_sim, net.get(), resolver, conversation_gens.back().get(),
+            collector, group.region, client_config, client_seed));
+      } else {
+        tot_gens.push_back(
+            std::make_unique<ToTGenerator>(group.tot, index, generator_seed));
+        clients.push_back(std::make_unique<ToTClient>(
+            region_sim, net.get(), resolver, tot_gens.back().get(), collector,
+            group.region, client_config, client_seed));
+      }
       // Stagger start over the first 5 s, independently per client (a shared
       // stagger RNG would be consumed in client-iteration order, which is
       // exactly the order sharding abolishes).
       Rng stagger_rng(MixSeed(spec.seed ^ 0xdead, index + 1));
-      staggers.push_back(
-          static_cast<SimDuration>(stagger_rng.Uniform(0, 5e6)));
+      staggers.push_back(cohort.start + static_cast<SimDuration>(
+                                            stagger_rng.Uniform(0, 5e6)));
     }
   }
+  SKYWALKER_CHECK(!clients.empty()) << "fleet needs clients";
 
-  // --- wave cohorts (flash crowd): same per-index derivation, indices
-  // continuing after the base population so id ranges stay disjoint ---
-  uint64_t next_index = static_cast<uint64_t>(num_regions) *
-                        static_cast<uint64_t>(spec.clients_per_region);
-  for (const FleetClientWave& wave : spec.client_waves) {
-    Simulator* region_sim = net->SimForRegion(wave.region);
-    for (int i = 0; i < wave.count; ++i) {
-      const uint64_t index = next_index++;
-      generators.push_back(std::make_unique<ConversationGenerator>(
-          base_gen, index, MixSeed(spec.seed + 1000, index + 1)));
-      ClientConfig client_config = spec.client;
-      client_config.request_id_base =
-          static_cast<RequestId>((index + 1) << 32);
-      client_config.stop_issuing_after = wave.stop_issuing_after;
-      clients.push_back(std::make_unique<ConversationClient>(
-          region_sim, net.get(), deployment->resolver(),
-          generators.back().get(),
-          collectors[static_cast<size_t>(wave.region)].get(), wave.region,
-          client_config, MixSeed(spec.seed + 2000, index + 1)));
-      Rng stagger_rng(MixSeed(spec.seed ^ 0xdead, index + 1));
-      staggers.push_back(
-          wave.start +
-          static_cast<SimDuration>(stagger_rng.Uniform(0, 5e6)));
-    }
+  if (skywalker) {
+    deployment->Start();
+  } else if (baseline.central_lb != nullptr) {
+    baseline.central_lb->Start();
   }
-
-  deployment->Start();
   for (size_t i = 0; i < clients.size(); ++i) {
     clients[i]->Start(staggers[i]);
   }
@@ -163,8 +303,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
       case FleetFault::kLbRecover: {
         // Controller-led recovery returns displaced replicas home; if the
         // controller never executed failover, recover the LB directly.
-        // Touches two LBs' replica sets — plain-mode (num_shards == 0)
-        // scenarios only, like controller failover itself.
+        // Touches two LBs' replica sets, so plain mode only (checked above).
         SkyWalkerLb* lb = deployment->LbInRegion(fault.region);
         SKYWALKER_CHECK(lb != nullptr);
         Controller* controller = deployment->controller();
@@ -180,7 +319,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
       case FleetFault::kReplicaSlowdown: {
         int region_local = 0;
         bool matched = false;
-        for (const auto& replica : deployment->replicas()) {
+        for (const auto& replica : replicas) {
           if (replica->region() != fault.region) {
             continue;
           }
@@ -208,11 +347,10 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
 
   // --- per-region imbalance samplers (each samples only its own shard's
   // replicas; RunningStat slots are per-replica, so there is no sharing) ---
-  std::vector<RunningStat> outstanding_stats(deployment->replicas().size());
+  std::vector<RunningStat> outstanding_stats(replicas.size());
   std::vector<std::vector<size_t>> region_replicas(num_regions);
-  for (size_t i = 0; i < deployment->replicas().size(); ++i) {
-    region_replicas[static_cast<size_t>(deployment->replicas()[i]->region())]
-        .push_back(i);
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    region_replicas[static_cast<size_t>(replicas[i]->region())].push_back(i);
   }
   std::vector<std::unique_ptr<PeriodicTask>> samplers;
   for (RegionId region = 0; region < static_cast<RegionId>(num_regions);
@@ -221,15 +359,15 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     const std::vector<size_t>& mine = region_replicas[static_cast<size_t>(region)];
     auto sampler = std::make_unique<PeriodicTask>(
         region_sim, Seconds(1),
-        [&deployment, &outstanding_stats, &mine, region_sim,
+        [&replicas, &outstanding_stats, &mine, region_sim,
          warmup = spec.warmup, measure_end] {
           // Drain time is settling, not measurement.
           if (region_sim->now() < warmup || region_sim->now() > measure_end) {
             return;
           }
           for (size_t i : mine) {
-            outstanding_stats[i].Add(static_cast<double>(
-                deployment->replicas()[i]->outstanding_count()));
+            outstanding_stats[i].Add(
+                static_cast<double>(replicas[i]->outstanding_count()));
           }
         });
     region_sim->SetCurrentRegion(region);
@@ -268,7 +406,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   }
 
   FleetResult result;
-  result.metrics.system = "fleet";
+  result.metrics.system = SystemKindName(spec.system);
   result.metrics.completed = merged.CountInWindow();
   result.metrics.throughput_tok_s = merged.ThroughputTokensPerSec();
   result.metrics.output_throughput_tok_s =
@@ -281,7 +419,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   result.metrics.e2e_p50_s = result.metrics.e2e.Percentile(50);
   result.metrics.e2e_p90_s = result.metrics.e2e.Percentile(90);
   result.metrics.e2e_mean_s = result.metrics.e2e.mean();
-  result.metrics.cache_hit_rate = deployment->AggregateCacheHitRate();
+  result.metrics.cache_hit_rate = AggregateCacheHitRate(replicas);
   result.metrics.forwarded_fraction = merged.ForwardedFraction();
 
   double min_mean = std::numeric_limits<double>::max();
@@ -322,16 +460,18 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   }
   result.lost_forever =
       result.issued - result.completed_total - result.client_errors;
-  for (const auto& lb : deployment->lbs()) {
-    SkyWalkerLb::Stats lb_stats = lb->stats();
-    result.request_timeouts += lb_stats.request_timeouts;
-    result.probe_misses += lb_stats.probe_misses;
-    result.ejections += lb_stats.ejections;
-    result.recoveries += lb_stats.recoveries;
-    result.late_completions += lb_stats.late_completions;
-    result.config_swaps += lb_stats.config_swaps;
+  if (skywalker) {
+    for (const auto& lb : deployment->lbs()) {
+      SkyWalkerLb::Stats lb_stats = lb->stats();
+      result.request_timeouts += lb_stats.request_timeouts;
+      result.probe_misses += lb_stats.probe_misses;
+      result.ejections += lb_stats.ejections;
+      result.recoveries += lb_stats.recoveries;
+      result.late_completions += lb_stats.late_completions;
+      result.config_swaps += lb_stats.config_swaps;
+    }
+    result.failovers = deployment->controller()->stats().failovers_handled;
   }
-  result.failovers = deployment->controller()->stats().failovers_handled;
 
   result.messages_sent = net->messages_sent();
   result.cross_region_messages = net->cross_region_messages();
@@ -345,6 +485,31 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     result.num_threads = sharded->num_threads();
   }
   return result;
+}
+
+MetricRow ExperimentMetricRow(std::string label,
+                              const ExperimentResult& result,
+                              int total_replicas) {
+  MetricRow row;
+  row.label = std::move(label);
+  row.Set(metric_keys::kThroughputTokS, result.throughput_tok_s);
+  row.Set(metric_keys::kOutputTokS, result.output_throughput_tok_s);
+  row.Set(metric_keys::kTtftP50, result.ttft_p50_s);
+  row.Set(metric_keys::kTtftP90, result.ttft_p90_s);
+  row.Set(metric_keys::kTtftP99,
+          result.ttft.empty() ? 0.0 : result.ttft.Percentile(99));
+  row.Set(metric_keys::kTtftMean, result.ttft_mean_s);
+  row.Set(metric_keys::kE2eP50, result.e2e_p50_s);
+  row.Set(metric_keys::kE2eP90, result.e2e_p90_s);
+  row.Set(metric_keys::kE2eP99,
+          result.e2e.empty() ? 0.0 : result.e2e.Percentile(99));
+  row.Set(metric_keys::kCacheHitRate, result.cache_hit_rate);
+  row.Set(metric_keys::kForwardRate, result.forwarded_fraction);
+  row.Set(metric_keys::kImbalance, result.outstanding_imbalance);
+  row.Set(metric_keys::kCompleted, static_cast<double>(result.completed));
+  row.Set(metric_keys::kCostUsdPerHour,
+          total_replicas * Pricing().reserved_hourly);
+  return row;
 }
 
 }  // namespace skywalker

@@ -1,34 +1,55 @@
-// Fleet-scale experiment harness (ISSUE 6): builds a SkyWalker deployment
-// plus its client population on either a plain Simulator (the reference) or
-// a region-sharded ShardedSimulator, and runs it to a deterministic result.
+// The experiment harness. RunFleetExperiment builds one serving system —
+// SkyWalker's regional LBs, the GKE-style gateway, or a single central
+// RR/LL/CH/SGL balancer — plus its closed-loop client population, runs it on
+// a plain Simulator (the reference) or a region-sharded ShardedSimulator,
+// and summarizes the paper's metrics. Every whole-fleet figure (fig08,
+// fig10, the ablations, fig_fleet_scale, fig_resilience) runs through it.
 //
-// Everything that makes the plain harness (src/harness/experiment.h)
-// convenient is nondeterministic under sharding — the global request-id
-// atomic, the shared conversation generator, the shared stagger RNG, the one
-// MetricsCollector appended to from every region. This harness replaces each
-// with a per-client / per-region equivalent whose output is a pure function
-// of (spec, client index), then canonicalizes the merged outcome stream by
-// sorting before any order-sensitive summary (distributions accumulate in
-// sorted order), so results are bit-identical across shard counts, thread
-// counts, and against the plain reference.
+// Determinism: each client's generator fork, RNG stream, start stagger and
+// request-id range are pure functions of (spec.seed, client index), and each
+// region records into its own collector. The merged outcome stream is sorted
+// canonically before any order-sensitive summary (distributions accumulate
+// in sorted order), so results are bit-identical across shard counts,
+// thread counts, and against the plain reference.
+//
+// Sharded runs support SkyWalker only, and no LB fail/recover faults:
+// baselines call replicas in other regions directly, and LB recovery and
+// controller failover touch two regions' LBs. RunFleetExperiment
+// CHECK-fails such specs before building anything.
 
 #ifndef SKYWALKER_HARNESS_FLEET_H_
 #define SKYWALKER_HARNESS_FLEET_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/analysis/metrics.h"
 #include "src/core/controller.h"
 #include "src/core/skywalker_lb.h"
-#include "src/harness/experiment.h"
 #include "src/net/topology.h"
 #include "src/replica/replica.h"
 #include "src/sim/sharded_simulator.h"
 #include "src/workload/client.h"
 #include "src/workload/conversation.h"
+#include "src/workload/spec.h"
 
 namespace skywalker {
+
+// The frontend a fleet serves through. SkyWalker variants (two-layer
+// consistent hashing, Region-Local) are SkyWalker configurations:
+// FleetSpec::lb.routing.policy and lb.routing.enable_forwarding.
+enum class SystemKind {
+  kSkyWalker,       // Regional SkyWalker LBs, configured by FleetSpec::lb.
+  kGkeGateway,      // Regional gateways, capacity spill, no LLM awareness.
+  kRoundRobin,      // One central LB in region 0, blind pushing.
+  kLeastLoad,       // One central LB in region 0, blind pushing.
+  kConsistentHash,  // One central LB in region 0, blind pushing.
+  kSglRouter,       // One central LB in region 0, cache-aware.
+};
+
+std::string_view SystemKindName(SystemKind kind);
 
 // A scheduled fault for the resilience scenarios (ISSUE 7). Faults are
 // injected as events on the owning region's shard, keyed to that region, so
@@ -70,8 +91,11 @@ struct FleetSpec {
   std::vector<int> replicas_per_region;
   int clients_per_region = 0;
 
+  // Baselines run in plain mode only (num_shards == 0).
+  SystemKind system = SystemKind::kSkyWalker;
+
   ReplicaConfig replica_config;
-  SkyWalkerConfig lb;
+  SkyWalkerConfig lb;  // kSkyWalker only.
   ControllerConfig controller;
   ConversationWorkloadConfig conversation =
       ConversationWorkloadConfig::WildChat();
@@ -90,6 +114,11 @@ struct FleetSpec {
   std::vector<FleetConfigUpdate> config_updates;
   std::vector<FleetClientWave> client_waves;
 
+  // Further client cohorts (per-region counts, ToT and Mixed-Tree groups,
+  // each with its own pacing), indexed after the base population and the
+  // waves. Conversation groups fork `conversation`'s generator.
+  std::vector<ClientGroup> groups;
+
   // 0: plain single-threaded Simulator (the reference). >= 1: sharded
   // simulation with that many region shards (clamped to the region count)
   // and `num_threads` workers (0 = one per shard).
@@ -105,6 +134,24 @@ struct FleetSpec {
   // outlive the run. Tracing never perturbs the simulation, and per-region
   // record streams are identical across shard/thread counts.
   Tracer* tracer = nullptr;
+};
+
+struct ExperimentResult {
+  std::string_view system;
+  size_t completed = 0;
+  double throughput_tok_s = 0;         // (prompt + output) tokens / s.
+  double output_throughput_tok_s = 0;
+  double ttft_p50_s = 0;
+  double ttft_p90_s = 0;
+  double ttft_mean_s = 0;
+  double e2e_p50_s = 0;
+  double e2e_p90_s = 0;
+  double e2e_mean_s = 0;
+  double cache_hit_rate = 0;           // Replica-level, token weighted.
+  double forwarded_fraction = 0;
+  double outstanding_imbalance = 0;    // max/min mean outstanding per replica.
+  Distribution ttft;
+  Distribution e2e;
 };
 
 struct FleetResult {
@@ -141,6 +188,13 @@ struct FleetResult {
 };
 
 FleetResult RunFleetExperiment(const FleetSpec& spec);
+
+// Converts a result into the standard machine-readable row (all keys of
+// StandardExperimentMetricKeys()). `total_replicas` prices the deployment at
+// the paper's reserved per-replica-hour rate (cost_usd_per_hour).
+MetricRow ExperimentMetricRow(std::string label,
+                              const ExperimentResult& result,
+                              int total_replicas);
 
 }  // namespace skywalker
 

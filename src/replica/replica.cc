@@ -698,4 +698,16 @@ void Replica::ApplyCacheEvictionPolicy(EvictionPolicy policy) {
   cache_.SetEvictionPolicy(policy);
 }
 
+double AggregateCacheHitRate(
+    const std::vector<std::unique_ptr<Replica>>& replicas) {
+  int64_t hits = 0;
+  int64_t lookups = 0;
+  for (const auto& replica : replicas) {
+    hits += replica->cache().hit_tokens();
+    lookups += replica->cache().lookup_tokens();
+  }
+  return lookups == 0 ? 0.0
+                      : static_cast<double>(hits) / static_cast<double>(lookups);
+}
+
 }  // namespace skywalker

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -428,6 +429,11 @@ class Replica {
   Stats stats_;
   std::vector<std::pair<SimTime, double>> memory_series_;
 };
+
+// Token-weighted prefix-cache hit rate across `replicas` (0 before any
+// lookup).
+double AggregateCacheHitRate(
+    const std::vector<std::unique_ptr<Replica>>& replicas);
 
 }  // namespace skywalker
 

@@ -32,9 +32,12 @@
 //
 // Restrictions in sharded mode (single-shard/plain mode is unaffected):
 //  * cross-region interaction must flow through Network::Send /
-//    Network::Deliver (direct cross-region method calls would race);
+//    Network::Deliver (direct cross-region method calls would race), which
+//    rules out the central baseline LBs and the gateway;
 //  * fault injection (LB Fail/Recover, controller failover) is not
 //    supported — those paths mutate remote-region state directly.
+// RunFleetExperiment (src/harness/fleet.h) CHECK-fails specs that break
+// either rule.
 
 #ifndef SKYWALKER_SIM_SHARDED_SIMULATOR_H_
 #define SKYWALKER_SIM_SHARDED_SIMULATOR_H_

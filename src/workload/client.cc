@@ -173,6 +173,7 @@ void ToTClient::IssueLevel() {
     callbacks.on_complete = [this](const RequestOutcome& outcome) {
       OnNodeComplete(outcome);
     };
+    ++issued_requests_;
     SubmitViaNetwork(net_, region_, frontend, std::move(req),
                      std::move(callbacks));
   }

@@ -50,26 +50,41 @@ struct ClientConfig {
   RequestId request_id_base = 0;
 };
 
-// Issues conversations sequentially: submit turn, await completion, think,
-// next turn; new conversation when the previous ends.
-class ConversationClient {
+// What every closed-loop client exposes to a harness: a start hook and its
+// request accounting.
+class ClosedLoopClient {
  public:
-  ConversationClient(Simulator* sim, Network* net, FrontendResolver* resolver,
-                     ConversationGenerator* generator, MetricsSink* metrics,
-                     RegionId region, const ClientConfig& config,
-                     uint64_t seed);
+  virtual ~ClosedLoopClient() = default;
 
-  // Begins the first conversation after `initial_delay`.
-  void Start(SimDuration initial_delay = 0);
+  // Begins the first program after `initial_delay`.
+  virtual void Start(SimDuration initial_delay = 0) = 0;
 
   size_t completed_requests() const { return completed_requests_; }
-  size_t completed_conversations() const { return completed_conversations_; }
   size_t errors() const { return errors_; }
   // Submissions handed to the network (retries count again). Every issued
   // request eventually completes or errors; after a full drain,
   // issued - completed - errors is the number of requests swallowed by the
   // system — the lost-forever count the resilience scenarios assert on.
   size_t issued_requests() const { return issued_requests_; }
+
+ protected:
+  size_t issued_requests_ = 0;
+  size_t completed_requests_ = 0;
+  size_t errors_ = 0;
+};
+
+// Issues conversations sequentially: submit turn, await completion, think,
+// next turn; new conversation when the previous ends.
+class ConversationClient : public ClosedLoopClient {
+ public:
+  ConversationClient(Simulator* sim, Network* net, FrontendResolver* resolver,
+                     ConversationGenerator* generator, MetricsSink* metrics,
+                     RegionId region, const ClientConfig& config,
+                     uint64_t seed);
+
+  void Start(SimDuration initial_delay = 0) override;
+
+  size_t completed_conversations() const { return completed_conversations_; }
 
  private:
   void BeginConversation();
@@ -89,23 +104,21 @@ class ConversationClient {
   ConversationGenerator::Conversation current_;
   RequestId next_request_id_ = 0;  // Private-range mode only.
   size_t next_turn_ = 0;
-  size_t issued_requests_ = 0;
-  size_t completed_requests_ = 0;
   size_t completed_conversations_ = 0;
-  size_t errors_ = 0;
 };
 
 // Issues one ToT tree at a time: all nodes of a level concurrently, next
-// level once every node of the current level completed.
-class ToTClient {
+// level once every node of the current level completed. Requests carry no
+// error callback: a ToT client never retries, so it belongs on fault-free
+// runs.
+class ToTClient : public ClosedLoopClient {
  public:
   ToTClient(Simulator* sim, Network* net, FrontendResolver* resolver,
             ToTGenerator* generator, MetricsSink* metrics, RegionId region,
             const ClientConfig& config, uint64_t seed);
 
-  void Start(SimDuration initial_delay = 0);
+  void Start(SimDuration initial_delay = 0) override;
 
-  size_t completed_requests() const { return completed_requests_; }
   size_t completed_trees() const { return completed_trees_; }
 
  private:
@@ -128,7 +141,6 @@ class ToTClient {
   ToTGenerator::Tree current_;
   int current_level_ = 0;
   size_t level_pending_ = 0;
-  size_t completed_requests_ = 0;
   size_t completed_trees_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/logging.h"
 #include "src/common/strings.h"
 
 namespace skywalker {
@@ -54,22 +55,34 @@ ConversationGenerator::ConversationGenerator(
 
 ConversationGenerator::ConversationGenerator(const ConversationGenerator& base,
                                              uint64_t client_index,
-                                             uint64_t client_seed)
+                                             uint64_t client_seed,
+                                             bool legacy_token_band)
     : config_(base.config_),
       num_regions_(base.num_regions_),
       rng_(client_seed),
       lengths_(base.config_.lengths),
       templates_(base.templates_),
       num_global_templates_(base.num_global_templates_) {
-  // Disjoint id namespaces: fresh tokens live in a 2^32-wide per-client band
-  // well above anything the base (template bank) allocated; user and session
-  // ids get a million-wide band each.
-  next_token_ = static_cast<Token>((client_index + 1) << 32);
+  // Disjoint id namespaces: fresh tokens live in the client's fork band,
+  // below anything the base (template bank) allocated; user and session ids
+  // get a million-wide band each.
+  if (legacy_token_band) {
+    next_token_ = 0;
+  } else {
+    SKYWALKER_CHECK(client_index < kMaxForkClients)
+        << "conversation fork index " << client_index
+        << " past the token bands";
+    const int64_t index = static_cast<int64_t>(client_index);
+    next_token_ = static_cast<Token>(-(index + 1) * kForkTokenBand);
+    token_limit_ = static_cast<Token>(-index * kForkTokenBand);
+  }
   next_user_ = static_cast<UserId>((client_index + 1) * 1'000'000 + 1);
   next_session_ = static_cast<SessionId>((client_index + 1) * 1'000'000 + 1);
 }
 
 void ConversationGenerator::AppendFresh(TokenSeq* seq, int64_t n) {
+  SKYWALKER_CHECK(n <= static_cast<int64_t>(token_limit_) - next_token_)
+      << "conversation generator exhausted its token band";
   for (int64_t i = 0; i < n; ++i) {
     seq->push_back(next_token_++);
   }

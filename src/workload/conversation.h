@@ -18,6 +18,7 @@
 #define SKYWALKER_WORKLOAD_CONVERSATION_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,15 +63,23 @@ class ConversationGenerator {
   ConversationGenerator(const ConversationWorkloadConfig& config,
                         size_t num_regions, uint64_t seed);
 
-  // Per-client fork (sharded fleet runs): shares `base`'s immutable template
-  // bank (no copy — the bank can be hundreds of MB across thousands of
-  // clients) but draws from its own RNG stream and from disjoint token /
-  // user / session namespaces, so each client's stream is a pure function of
+  // Per-client fork (fleet runs): shares `base`'s immutable template bank
+  // (no copy — the bank can be hundreds of MB across thousands of clients)
+  // but draws from its own RNG stream and from disjoint token / user /
+  // session namespaces, so each client's stream is a pure function of
   // (base workload, client_index, client_seed) — independent of the order
-  // clients run in. The base generator must not be used for conversations
-  // once forked fleets rely on namespace disjointness.
+  // clients run in. Fresh tokens come from the client's fork band
+  // (src/cache/tokens.h); exhausting it, or an index past kMaxForkClients,
+  // is fatal. The base generator must not be used for conversations once
+  // forked fleets rely on namespace disjointness.
+  //
+  // `legacy_token_band` instead starts every fork's fresh tokens at 0, so
+  // all such forks draw the same token ids and different clients' prompts
+  // can share prefixes they never built. It reproduces the fleet runs
+  // committed before the fork bands existed and is slated for removal.
   ConversationGenerator(const ConversationGenerator& base,
-                        uint64_t client_index, uint64_t client_seed);
+                        uint64_t client_index, uint64_t client_seed,
+                        bool legacy_token_band = false);
 
   struct Turn {
     TokenSeq prompt;  // Full context: template + all prior turns + new msg.
@@ -126,6 +135,7 @@ class ConversationGenerator {
   int num_global_templates_;
 
   Token next_token_ = 1;
+  Token token_limit_ = std::numeric_limits<Token>::max();  // One past band.
   UserId next_user_ = 1;
   SessionId next_session_ = 1;
   std::map<UserId, int> user_last_template_;

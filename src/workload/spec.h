@@ -1,8 +1,8 @@
 // Workload specification and the canonical workload presets of the paper's
-// evaluation (§5.1). WorkloadSpec/ClientGroup moved here from
-// src/harness/experiment.h so the workload layer owns its own configuration
-// and benchmark scenarios can share one set of paper-calibrated builders
-// instead of copy-pasting client tables.
+// evaluation (§5.1). The workload layer owns its own configuration, so
+// benchmark scenarios share one set of paper-calibrated builders instead of
+// copy-pasting client tables; FleetSpec::groups carries the client groups
+// into the fleet harness (src/harness/fleet.h).
 
 #ifndef SKYWALKER_WORKLOAD_SPEC_H_
 #define SKYWALKER_WORKLOAD_SPEC_H_
@@ -26,8 +26,8 @@ struct ClientGroup {
 };
 
 struct WorkloadSpec {
-  // Conversation groups share one generator (shared template pools drive
-  // cross-user prefix similarity); configure it here.
+  // Conversation groups fork one generator (its shared template pools
+  // drive cross-user prefix similarity); configure it here.
   ConversationWorkloadConfig conversation;
   std::vector<ClientGroup> groups;
   uint64_t seed = 42;

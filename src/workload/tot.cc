@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/common/logging.h"
 #include "src/common/strings.h"
 
 namespace skywalker {
@@ -22,6 +23,17 @@ ToTGenerator::ToTGenerator(const ToTConfig& config, uint64_t seed)
     : config_(config), rng_(seed) {
   assert(config_.depth >= 1);
   assert(config_.branching >= 1);
+}
+
+ToTGenerator::ToTGenerator(const ToTConfig& config, uint64_t client_index,
+                           uint64_t client_seed)
+    : ToTGenerator(config, client_seed) {
+  SKYWALKER_CHECK(client_index < kMaxForkClients)
+      << "ToT fork index " << client_index << " past the token bands";
+  const int64_t index = static_cast<int64_t>(client_index);
+  next_token_ = static_cast<Token>(-(index + 1) * kForkTokenBand);
+  token_limit_ = static_cast<Token>(-index * kForkTokenBand);
+  next_session_ = static_cast<SessionId>((client_index + 1) * 1'000'000 + 1);
 }
 
 int64_t ToTGenerator::JitteredLen(int64_t mean) {
@@ -43,6 +55,8 @@ int64_t ToTGenerator::ThoughtLen() {
 }
 
 void ToTGenerator::AppendFresh(TokenSeq* seq, int64_t n) {
+  SKYWALKER_CHECK(n <= static_cast<int64_t>(token_limit_) - next_token_)
+      << "ToT generator exhausted its token band";
   for (int64_t i = 0; i < n; ++i) {
     seq->push_back(next_token_++);
   }

@@ -11,6 +11,7 @@
 #define SKYWALKER_WORKLOAD_TOT_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,15 @@ class ToTGenerator {
  public:
   ToTGenerator(const ToTConfig& config, uint64_t seed);
 
+  // Per-client fork (fleet runs): draws fresh tokens from the client's
+  // fork band (src/cache/tokens.h) and sessions from the
+  // `(client_index + 1) * 1'000'000` band, the same bands as
+  // ConversationGenerator's fork, so independent per-client generators
+  // never share a question or a `question-<session>` routing key.
+  // Exhausting the token band, or an index past kMaxForkClients, is fatal.
+  ToTGenerator(const ToTConfig& config, uint64_t client_index,
+               uint64_t client_seed);
+
   struct Node {
     int level = 0;
     int parent = -1;   // Index into Tree::nodes; -1 for the root.
@@ -67,6 +77,7 @@ class ToTGenerator {
   ToTConfig config_;
   Rng rng_;
   Token next_token_ = 1'000'000'000;  // Disjoint from conversation tokens.
+  Token token_limit_ = std::numeric_limits<Token>::max();  // One past band.
   SessionId next_session_ = 1;
 };
 

@@ -1,96 +1,106 @@
-// Tests for the experiment harness: system construction for every kind,
-// workload drivers, and result invariants across seeds (the property layer
-// the figure benches stand on).
+// Tests for the experiment harness: every serving system the figures run
+// (each SystemKind plus the SkyWalker-CH and Region-Local configurations)
+// builds, completes requests with sane per-outcome timestamps, places its
+// frontends where the paper does, and replays deterministically.
 
 #include <gtest/gtest.h>
 
-#include "src/harness/experiment.h"
+#include <cstdio>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "src/harness/fleet.h"
 #include "src/net/topology.h"
+#include "src/obs/trace.h"
 
 namespace skywalker {
 namespace {
 
-SystemSpec TinySystem(SystemKind kind) {
-  SystemSpec spec;
-  spec.kind = kind;
+// A system under test: a frontend kind plus the SkyWalker knobs that turn
+// it into SkyWalker-CH or Region-Local.
+struct TestSystem {
+  const char* name;
+  SystemKind kind;
+  RoutingPolicyKind policy = RoutingPolicyKind::kPrefixTree;
+  bool forwarding = true;
+};
+
+const TestSystem kAllSystems[] = {
+    {"GKE_Gateway", SystemKind::kGkeGateway},
+    {"RR", SystemKind::kRoundRobin},
+    {"LL", SystemKind::kLeastLoad},
+    {"CH", SystemKind::kConsistentHash},
+    {"SGL", SystemKind::kSglRouter},
+    {"SkyWalker_CH", SystemKind::kSkyWalker,
+     RoutingPolicyKind::kConsistentHash},
+    {"SkyWalker", SystemKind::kSkyWalker},
+    {"Region_Local", SystemKind::kSkyWalker, RoutingPolicyKind::kPrefixTree,
+     /*forwarding=*/false},
+};
+
+// One replica per continent, four Arena clients per region.
+FleetSpec TinyFleet(const TestSystem& system, uint64_t seed) {
+  FleetSpec spec;
+  spec.topology = Topology::ThreeContinents();
+  spec.system = system.kind;
+  spec.lb.routing.policy = system.policy;
+  spec.lb.routing.enable_forwarding = system.forwarding;
   spec.replicas_per_region = {1, 1, 1};
   spec.replica_config.kv_capacity_tokens = 16384;
-  return spec;
-}
-
-WorkloadSpec TinyWorkload(uint64_t seed) {
-  WorkloadSpec spec;
   spec.conversation = ConversationWorkloadConfig::Arena();
   spec.conversation.lengths.output_max = 1500;
+  spec.clients_per_region = 4;
+  spec.client.think_time_mean = Milliseconds(300);
+  spec.client.program_gap_mean = Milliseconds(300);
   spec.seed = seed;
-  for (RegionId r = 0; r < 3; ++r) {
-    ClientGroup group;
-    group.kind = ClientGroup::Kind::kConversation;
-    group.region = r;
-    group.count = 4;
-    group.client.think_time_mean = Milliseconds(300);
-    group.client.program_gap_mean = Milliseconds(300);
-    spec.groups.push_back(group);
-  }
+  spec.warmup = Seconds(10);
+  spec.measure = Seconds(40);
+  spec.collect_trace = true;
   return spec;
 }
 
-ExperimentConfig TinyConfig() {
-  ExperimentConfig config;
-  config.warmup = Seconds(10);
-  config.measure = Seconds(40);
-  return config;
-}
+// One parsed line of FleetResult::trace.
+struct TraceOutcome {
+  long long id = 0;
+  int client_region = 0;
+  int served_region = 0;
+  int replica = 0;
+  long long submit = 0;
+  long long first_token = 0;
+  long long completion = 0;
+  long long prompt = 0;
+  long long cached = 0;
+  long long output = 0;
+  int hops = 0;
+  bool forwarded = false;
+};
 
-TEST(ServingSystemTest, BuildsEveryKindWithExpectedShape) {
-  Simulator sim;
-  Network net(&sim, Topology::ThreeContinents());
-  for (SystemKind kind :
-       {SystemKind::kGkeGateway, SystemKind::kRoundRobin,
-        SystemKind::kLeastLoad, SystemKind::kConsistentHash,
-        SystemKind::kSglRouter, SystemKind::kSkyWalkerCh,
-        SystemKind::kSkyWalker, SystemKind::kRegionLocal}) {
-    auto system = ServingSystem::Build(&sim, &net, TinySystem(kind));
-    EXPECT_EQ(system->replicas().size(), 3u) << SystemKindName(kind);
-    EXPECT_NE(system->resolver(), nullptr);
-    bool is_skywalker = kind == SystemKind::kSkyWalker ||
-                        kind == SystemKind::kSkyWalkerCh ||
-                        kind == SystemKind::kRegionLocal;
-    EXPECT_EQ(system->deployment() != nullptr, is_skywalker);
-    EXPECT_EQ(system->gateway() != nullptr, kind == SystemKind::kGkeGateway);
+std::vector<TraceOutcome> ParseTrace(const std::string& trace) {
+  std::vector<TraceOutcome> outcomes;
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    TraceOutcome o;
+    char flag = 0;
+    const int fields = std::sscanf(
+        line.c_str(), "%lld r%d>r%d@%d s%lld f%lld c%lld p%lld k%lld o%lld h%d %c",
+        &o.id, &o.client_region, &o.served_region, &o.replica, &o.submit,
+        &o.first_token, &o.completion, &o.prompt, &o.cached, &o.output,
+        &o.hops, &flag);
+    EXPECT_GE(fields, 11) << line;
+    o.forwarded = fields == 12 && flag == 'F';
+    outcomes.push_back(o);
   }
+  return outcomes;
 }
 
-TEST(ServingSystemTest, CentralBaselineResolvesToOneRegion) {
-  Simulator sim;
-  Network net(&sim, Topology::ThreeContinents());
-  SystemSpec spec = TinySystem(SystemKind::kLeastLoad);
-  spec.central_lb_region = 2;
-  auto system = ServingSystem::Build(&sim, &net, spec);
-  for (RegionId client = 0; client < 3; ++client) {
-    Frontend* fe = system->resolver()->Resolve(client);
-    ASSERT_NE(fe, nullptr);
-    EXPECT_EQ(fe->region(), 2);
-  }
-}
-
-TEST(ServingSystemTest, RegionalSystemsResolveLocally) {
-  Simulator sim;
-  Network net(&sim, Topology::ThreeContinents());
-  auto system =
-      ServingSystem::Build(&sim, &net, TinySystem(SystemKind::kSkyWalker));
-  for (RegionId client = 0; client < 3; ++client) {
-    Frontend* fe = system->resolver()->Resolve(client);
-    ASSERT_NE(fe, nullptr);
-    EXPECT_EQ(fe->region(), client);
-  }
-}
-
-TEST(RunExperimentTest, ResultFieldsAreConsistent) {
-  ExperimentResult result =
-      RunExperiment(Topology::ThreeContinents(),
-                    TinySystem(SystemKind::kSkyWalker), TinyWorkload(5),
-                    TinyConfig());
+TEST(FleetHarnessTest, ResultFieldsAreConsistent) {
+  FleetResult fleet = RunFleetExperiment(TinyFleet(kAllSystems[6], 5));
+  const ExperimentResult& result = fleet.metrics;
+  EXPECT_EQ(result.system, "SkyWalker");
   EXPECT_GT(result.completed, 0u);
   EXPECT_EQ(result.ttft.count(), result.completed);
   EXPECT_EQ(result.e2e.count(), result.completed);
@@ -101,30 +111,38 @@ TEST(RunExperimentTest, ResultFieldsAreConsistent) {
   EXPECT_LE(result.cache_hit_rate, 1.0);
   EXPECT_GE(result.forwarded_fraction, 0.0);
   EXPECT_LE(result.forwarded_fraction, 1.0);
+  EXPECT_GE(fleet.completed_total, static_cast<int64_t>(result.completed));
 }
 
-// Property: per-request TTFT <= E2E must hold for every outcome, for every
-// system kind, across seeds.
+TEST(FleetHarnessTest, SystemKindNamesArePaperNames) {
+  EXPECT_EQ(SystemKindName(SystemKind::kSkyWalker), "SkyWalker");
+  EXPECT_EQ(SystemKindName(SystemKind::kGkeGateway), "GKE-Gateway");
+  EXPECT_EQ(SystemKindName(SystemKind::kRoundRobin), "RR");
+  EXPECT_EQ(SystemKindName(SystemKind::kLeastLoad), "LL");
+  EXPECT_EQ(SystemKindName(SystemKind::kConsistentHash), "CH");
+  EXPECT_EQ(SystemKindName(SystemKind::kSglRouter), "SGL");
+}
+
+// Property: every outcome of every system, across seeds, has
+// submit <= first token <= completion, a partial cache hit, a replica of
+// the three-replica fleet in its own region, and hops that agree with the
+// forwarded flag.
 class HarnessPropertyTest
-    : public ::testing::TestWithParam<std::tuple<SystemKind, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<TestSystem, uint64_t>> {};
 
 TEST_P(HarnessPropertyTest, TtftNeverExceedsE2e) {
-  auto [kind, seed] = GetParam();
-  Simulator sim;
-  Network net(&sim, Topology::ThreeContinents());
-  auto system = ServingSystem::Build(&sim, &net, TinySystem(kind));
-  MetricsCollector metrics;
-  WorkloadDriver driver(&sim, &net, system->resolver(), &metrics,
-                        TinyWorkload(seed), 3);
-  system->Start();
-  driver.Start();
-  sim.RunUntil(Seconds(60));
-  ASSERT_GT(metrics.total_recorded(), 10u);
-  for (const RequestOutcome& o : metrics.outcomes()) {
-    EXPECT_LE(o.submit_time, o.first_token_time);
-    EXPECT_LE(o.first_token_time, o.completion_time);
-    EXPECT_GE(o.cached_prompt_tokens, 0);
-    EXPECT_LT(o.cached_prompt_tokens, o.prompt_tokens);
+  const auto& [system, seed] = GetParam();
+  FleetResult result = RunFleetExperiment(TinyFleet(system, seed));
+  const std::vector<TraceOutcome> outcomes = ParseTrace(result.trace);
+  ASSERT_GT(outcomes.size(), 10u) << system.name;
+  for (const TraceOutcome& o : outcomes) {
+    EXPECT_LE(o.submit, o.first_token);
+    EXPECT_LE(o.first_token, o.completion);
+    EXPECT_GE(o.cached, 0);
+    EXPECT_LT(o.cached, o.prompt);
+    EXPECT_GE(o.replica, 0);
+    EXPECT_LT(o.replica, 3);
+    EXPECT_EQ(o.served_region, o.replica);  // Replica i sits in region i.
     EXPECT_TRUE(o.hops == 1 || o.hops == 2);
     EXPECT_EQ(o.hops == 2, o.forwarded);
   }
@@ -132,34 +150,107 @@ TEST_P(HarnessPropertyTest, TtftNeverExceedsE2e) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndSeeds, HarnessPropertyTest,
-    ::testing::Combine(::testing::Values(SystemKind::kSkyWalker,
-                                         SystemKind::kSkyWalkerCh,
-                                         SystemKind::kSglRouter,
-                                         SystemKind::kGkeGateway),
-                       ::testing::Values(11u, 22u, 33u)));
+    ::testing::Combine(::testing::ValuesIn(kAllSystems),
+                       ::testing::Values(11u, 22u, 33u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
-// Property: deterministic replay — identical specs and seeds give identical
-// results for every system kind.
-class DeterminismPropertyTest : public ::testing::TestWithParam<SystemKind> {};
+// Property: deterministic replay — identical specs give byte-identical
+// outcome streams and metrics for every system.
+class DeterminismPropertyTest : public ::testing::TestWithParam<TestSystem> {
+};
 
 TEST_P(DeterminismPropertyTest, IdenticalAcrossRuns) {
-  ExperimentResult a =
-      RunExperiment(Topology::ThreeContinents(), TinySystem(GetParam()),
-                    TinyWorkload(9), TinyConfig());
-  ExperimentResult b =
-      RunExperiment(Topology::ThreeContinents(), TinySystem(GetParam()),
-                    TinyWorkload(9), TinyConfig());
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_DOUBLE_EQ(a.throughput_tok_s, b.throughput_tok_s);
-  EXPECT_DOUBLE_EQ(a.ttft_p90_s, b.ttft_p90_s);
-  EXPECT_DOUBLE_EQ(a.cache_hit_rate, b.cache_hit_rate);
+  FleetResult a = RunFleetExperiment(TinyFleet(GetParam(), 9));
+  FleetResult b = RunFleetExperiment(TinyFleet(GetParam(), 9));
+  EXPECT_FALSE(a.trace.empty());
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.metrics.completed, b.metrics.completed);
+  EXPECT_EQ(a.metrics.throughput_tok_s, b.metrics.throughput_tok_s);
+  EXPECT_EQ(a.metrics.ttft_p90_s, b.metrics.ttft_p90_s);
+  EXPECT_EQ(a.metrics.cache_hit_rate, b.metrics.cache_hit_rate);
+  EXPECT_EQ(a.metrics.outstanding_imbalance, b.metrics.outstanding_imbalance);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, DeterminismPropertyTest,
-                         ::testing::Values(SystemKind::kGkeGateway,
-                                           SystemKind::kConsistentHash,
-                                           SystemKind::kSkyWalker,
-                                           SystemKind::kRegionLocal));
+INSTANTIATE_TEST_SUITE_P(Systems, DeterminismPropertyTest,
+                         ::testing::ValuesIn(kAllSystems),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Regions in which some balancer queued a request.
+std::set<int> LbRegions(const TestSystem& system) {
+  Tracer tracer(3);
+  FleetSpec spec = TinyFleet(system, 3);
+  spec.tracer = &tracer;
+  RunFleetExperiment(spec);
+  std::set<int> regions;
+  for (const TraceRecord& record : tracer.Merged()) {
+    if (record.type == static_cast<uint16_t>(TraceEventType::kLbEnqueue)) {
+      regions.insert(record.region);
+    }
+  }
+  return regions;
+}
+
+TEST(FleetHarnessTest, CentralBaselinesQueueInRegionZero) {
+  for (const TestSystem& system : kAllSystems) {
+    if (system.kind == SystemKind::kSkyWalker ||
+        system.kind == SystemKind::kGkeGateway) {
+      continue;
+    }
+    EXPECT_EQ(LbRegions(system), (std::set<int>{0})) << system.name;
+  }
+}
+
+TEST(FleetHarnessTest, RegionalSystemsQueueInEveryRegion) {
+  EXPECT_EQ(LbRegions(kAllSystems[6]), (std::set<int>{0, 1, 2}));
+}
+
+// Sharded runs must be rejected before anything is built when they would
+// race: LB recovery and failover touch two regions' LBs, and baselines call
+// replicas in other regions directly.
+TEST(FleetHarnessDeathTest, ShardedRunRejectsLbFail) {
+  FleetSpec spec = TinyFleet(kAllSystems[6], 1);
+  spec.num_shards = 3;
+  FleetFault fault;
+  fault.kind = FleetFault::kLbFail;
+  fault.at = Seconds(5);
+  spec.faults.push_back(fault);
+  EXPECT_DEATH(RunFleetExperiment(spec), "sharded fleets run SkyWalker");
+}
+
+TEST(FleetHarnessDeathTest, ShardedRunRejectsLbRecover) {
+  FleetSpec spec = TinyFleet(kAllSystems[6], 1);
+  spec.num_shards = 3;
+  FleetFault fault;
+  fault.kind = FleetFault::kLbRecover;
+  fault.at = Seconds(5);
+  spec.faults.push_back(fault);
+  EXPECT_DEATH(RunFleetExperiment(spec), "sharded fleets run SkyWalker");
+}
+
+TEST(FleetHarnessDeathTest, ShardedRunRejectsBaselineSystems) {
+  for (const TestSystem& system : kAllSystems) {
+    if (system.kind == SystemKind::kSkyWalker) {
+      continue;
+    }
+    FleetSpec spec = TinyFleet(system, 1);
+    spec.num_shards = 2;
+    EXPECT_DEATH(RunFleetExperiment(spec), "sharded fleets run SkyWalker")
+        << system.name;
+  }
+}
+
+TEST(FleetHarnessDeathTest, BaselinesRejectLbFaults) {
+  FleetSpec spec = TinyFleet(kAllSystems[1], 1);
+  FleetFault fault;
+  fault.kind = FleetFault::kLbFail;
+  spec.faults.push_back(fault);
+  EXPECT_DEATH(RunFleetExperiment(spec), "need SkyWalker LBs");
+}
 
 }  // namespace
 }  // namespace skywalker

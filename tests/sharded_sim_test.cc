@@ -188,12 +188,41 @@ FleetSpec SmallFleet() {
   return spec;
 }
 
+// Mixed Tree on the fleet harness: a heavy 4-branch ToT client and 2-branch
+// ToT clients beside WildChat conversation groups, all as FleetSpec::groups
+// (no base population).
+FleetSpec MixedTreeFleet() {
+  FleetSpec spec = SmallFleet();
+  spec.clients_per_region = 0;
+  ClientGroup heavy;
+  heavy.kind = ClientGroup::Kind::kToT;
+  heavy.region = 0;
+  heavy.count = 1;
+  heavy.tot.branching = 4;
+  heavy.client = ToTClientConfig();
+  spec.groups.push_back(heavy);
+  for (RegionId region = 0; region < 4; ++region) {
+    ClientGroup tot;
+    tot.kind = ClientGroup::Kind::kToT;
+    tot.region = region;
+    tot.count = 2;
+    tot.client = ToTClientConfig();
+    spec.groups.push_back(tot);
+    ClientGroup chat;
+    chat.region = region;
+    chat.count = 2;
+    chat.client = ChatClientConfig();
+    spec.groups.push_back(chat);
+  }
+  return spec;
+}
+
 // The tentpole determinism contract: the full fleet — LBs, replicas,
 // clients, probes, forwarding — produces bit-identical request traces and
 // summary metrics for every shard/thread combination, including against the
 // plain single-threaded Simulator.
-TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
-  FleetSpec spec = SmallFleet();
+void ExpectBitIdenticalAcrossShards(const FleetSpec& base) {
+  FleetSpec spec = base;
   spec.num_shards = 0;  // Plain Simulator reference.
   FleetResult reference = RunFleetExperiment(spec);
   ASSERT_GT(reference.metrics.completed, 0u);
@@ -205,7 +234,7 @@ TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
   };
   for (Config config : std::vector<Config>{
            {1, 1}, {2, 1}, {2, 8}, {4, 1}, {4, 8}}) {
-    FleetSpec run_spec = SmallFleet();
+    FleetSpec run_spec = base;
     run_spec.num_shards = config.shards;
     run_spec.num_threads = config.threads;
     FleetResult result = RunFleetExperiment(run_spec);
@@ -230,7 +259,31 @@ TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
     EXPECT_EQ(result.cross_region_messages,
               reference.cross_region_messages);
     EXPECT_EQ(result.executed_events, reference.executed_events);
+    EXPECT_EQ(result.issued, reference.issued);
+    EXPECT_EQ(result.completed_total, reference.completed_total);
   }
+}
+
+TEST(FleetDeterminismTest, BitIdenticalAcrossShardsThreadsAndReference) {
+  ExpectBitIdenticalAcrossShards(SmallFleet());
+}
+
+TEST(FleetDeterminismTest, MixedTreeBitIdenticalAcrossShardsAndThreads) {
+  FleetSpec spec = MixedTreeFleet();
+  ExpectBitIdenticalAcrossShards(spec);
+  // The ToT groups actually ran: dropping them loses completions.
+  spec.num_shards = 4;
+  spec.num_threads = 8;
+  FleetResult result = RunFleetExperiment(spec);
+  FleetSpec chat_only = spec;
+  chat_only.groups.clear();
+  for (const ClientGroup& group : spec.groups) {
+    if (group.kind == ClientGroup::Kind::kConversation) {
+      chat_only.groups.push_back(group);
+    }
+  }
+  EXPECT_GT(result.completed_total,
+            RunFleetExperiment(chat_only).completed_total);
 }
 
 // Repeated identical runs must agree exactly (no hidden global state, e.g.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/workload/conversation.h"
 #include "src/workload/diurnal.h"
@@ -267,6 +268,41 @@ TEST(ToTTest, TreesAreTokenDisjoint) {
   auto t2 = gen.MakeTree();
   EXPECT_EQ(CommonPrefixLen(t1.nodes[0].prompt, t2.nodes[0].prompt), 0u);
   EXPECT_NE(t1.routing_key, t2.routing_key);
+}
+
+TEST(ToTTest, ClientForksShareNoTokenOrRoutingKey) {
+  // Per-client forks with the same seed still draw from disjoint bands:
+  // without them every client's first question (and `question-1` CH key)
+  // would coincide.
+  ToTConfig config;
+  config.branching = 3;
+  ToTGenerator a(config, /*client_index=*/0, /*client_seed=*/9);
+  ToTGenerator b(config, /*client_index=*/1, /*client_seed=*/9);
+  std::set<Token> tokens_a;
+  std::set<std::string> keys_a;
+  std::set<SessionId> sessions_a;
+  for (int i = 0; i < 4; ++i) {
+    auto tree = a.MakeTree();
+    keys_a.insert(tree.routing_key);
+    sessions_a.insert(tree.session_id);
+    for (const auto& node : tree.nodes) {
+      tokens_a.insert(node.prompt.begin(), node.prompt.end());
+      tokens_a.insert(node.output.begin(), node.output.end());
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    auto tree = b.MakeTree();
+    EXPECT_EQ(keys_a.count(tree.routing_key), 0u) << tree.routing_key;
+    EXPECT_EQ(sessions_a.count(tree.session_id), 0u);
+    for (const auto& node : tree.nodes) {
+      for (Token t : node.prompt) {
+        ASSERT_EQ(tokens_a.count(t), 0u);
+      }
+      for (Token t : node.output) {
+        ASSERT_EQ(tokens_a.count(t), 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
