@@ -706,8 +706,9 @@ double AggregateCacheHitRate(
     hits += replica->cache().hit_tokens();
     lookups += replica->cache().lookup_tokens();
   }
-  return lookups == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(lookups);
+  return lookups == 0
+             ? 0.0
+             : static_cast<double>(hits) / static_cast<double>(lookups);
 }
 
 }  // namespace skywalker

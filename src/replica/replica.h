@@ -149,8 +149,9 @@ struct ReplicaConfig {
 // The versioned heartbeat-probe payload (ISSUE 7): everything a balancer
 // routes on, in one struct with exactly one construction site
 // (Replica::Probe) and one decode site (the dispatch engine's probe-response
-// handler). `version` is a per-replica monotonic probe counter. The EWMA decode-latency sample feeds passive latency-outlier
-// detection (src/routing/health.h); full diagnostic detail stays on
+// handler). `version` is a per-replica monotonic probe counter. The EWMA
+// decode-latency sample feeds passive latency-outlier detection
+// (src/routing/health.h); full diagnostic detail stays on
 // Replica::LoadSnapshot, which metrics and tests read directly.
 struct ProbePayload {
   int64_t version = 0;

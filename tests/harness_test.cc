@@ -86,8 +86,8 @@ std::vector<TraceOutcome> ParseTrace(const std::string& trace) {
     TraceOutcome o;
     char flag = 0;
     const int fields = std::sscanf(
-        line.c_str(), "%lld r%d>r%d@%d s%lld f%lld c%lld p%lld k%lld o%lld h%d %c",
-        &o.id, &o.client_region, &o.served_region, &o.replica, &o.submit,
+        line.c_str(),
+        "%lld r%d>r%d@%d s%lld f%lld c%lld p%lld k%lld o%lld h%d %c", &o.id, &o.client_region, &o.served_region, &o.replica, &o.submit,
         &o.first_token, &o.completion, &o.prompt, &o.cached, &o.output,
         &o.hops, &flag);
     EXPECT_GE(fields, 11) << line;
