@@ -136,6 +136,8 @@ struct FleetSpec {
   Tracer* tracer = nullptr;
 };
 
+// Summary metrics of one run; latency and throughput cover requests
+// completed inside the measurement window.
 struct ExperimentResult {
   std::string_view system;
   size_t completed = 0;

@@ -114,15 +114,6 @@ TEST(FleetHarnessTest, ResultFieldsAreConsistent) {
   EXPECT_GE(fleet.completed_total, static_cast<int64_t>(result.completed));
 }
 
-TEST(FleetHarnessTest, SystemKindNamesArePaperNames) {
-  EXPECT_EQ(SystemKindName(SystemKind::kSkyWalker), "SkyWalker");
-  EXPECT_EQ(SystemKindName(SystemKind::kGkeGateway), "GKE-Gateway");
-  EXPECT_EQ(SystemKindName(SystemKind::kRoundRobin), "RR");
-  EXPECT_EQ(SystemKindName(SystemKind::kLeastLoad), "LL");
-  EXPECT_EQ(SystemKindName(SystemKind::kConsistentHash), "CH");
-  EXPECT_EQ(SystemKindName(SystemKind::kSglRouter), "SGL");
-}
-
 // Property: every outcome of every system, across seeds, has
 // submit <= first token <= completion, a partial cache hit, a replica of
 // the three-replica fleet in its own region, and hops that agree with the
