@@ -20,8 +20,9 @@
 //    edge there is modest (~1.05x swap, ~1.01x recompute — the >=1.15x
 //    target did not survive measurement: closed-loop clients throttle
 //    demand at jammed replicas, so BP's misrouting surfaces in TTFT tails
-//    rather than goodput), while kColdSubtree eviction recovers ~5%
-//    throughput in the BP/swap arm where eviction churn is heaviest.
+//    rather than goodput). kColdSubtree eviction gains ~5% throughput in
+//    the BP/swap arm at smoke size, but that win does not hold at full
+//    size (~0.96x).
 
 #include <iterator>
 #include <memory>
@@ -75,10 +76,9 @@ struct MemoryCase {
   // every replica holds at the admission wall for the whole measurement
   // window — sustained watermark rejections and preemptions — while compute
   // stays subsaturated. The policy cross then ablates the cache eviction
-  // policy and per-step batch composition on top.
+  // policy on top.
   bool saturate = false;
   EvictionPolicy eviction = EvictionPolicy::kLruLeaf;
-  bool decode_first = false;
 };
 
 MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
@@ -108,18 +108,6 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   rconfig.kv_watermark_blocks =
       (512 + rconfig.output_reserve_tokens) / mc.block_size;
   rconfig.cache_eviction_policy = mc.eviction;
-  if (mc.decode_first) {
-    // Decode-priority composition: decodes claim a halved shared step
-    // budget first and prefill chunks shrink to the remainder, throttling
-    // new-work ramp in favor of draining resident decodes (which is what
-    // frees pages). The decode batch stays uncapped: capping it under
-    // pressure was measured to *delay* the completions that donate free
-    // blocks back and lose 3-7% throughput.
-    rconfig.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-    rconfig.composition.step_token_budget = 512;
-    rconfig.composition.max_decode_batch = 0;
-    rconfig.composition.pressure_free_blocks = 0;
-  }
   std::vector<std::unique_ptr<Replica>> replicas;
   for (int i = 0; i < kReplicas; ++i) {
     replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
@@ -206,7 +194,6 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
     row.Dim("eviction", mc.eviction == EvictionPolicy::kColdSubtree
                             ? "coldsubtree"
                             : "lruleaf");
-    row.Dim("composition", mc.decode_first ? "decode_first" : "default");
   }
   Distribution ttft = metrics.TtftSeconds();
   Distribution e2e = metrics.E2eSeconds();
@@ -259,8 +246,8 @@ Scenario MakeFig07MemoryPressureScenario() {
       "The fig09 workload on the paged memory subsystem: block sizes 16/32, "
       "admission watermark, recompute vs swap preemption, and free-block-"
       "aware routing for the SP-P cells. One cell per (policy, block size, "
-      "preemption) combination, plus a 16-cell saturation cross (ISSUE 8) "
-      "ablating eviction policy and batch composition at the memory wall.";
+      "preemption) combination, plus an 8-cell saturation cross "
+      "ablating the eviction policy at the memory wall.";
   scenario.metric_keys = {
       metric_keys::kThroughputTokS,
       metric_keys::kOutputTokS,
@@ -297,33 +284,27 @@ Scenario MakeFig07MemoryPressureScenario() {
          PreemptPolicy::kSwap},
     };
     std::vector<MemoryCase> all_cases(std::begin(cases), std::end(cases));
-    // Saturation cross, rows 6..21: (BP, SP-P) x (recompute, swap)
-    // x (kLruLeaf, kColdSubtree) x (default, decode-first composition) at
-    // b16 under the saturated workload. Loop order fixes the row indices
-    // the finalize below depends on.
+    // Saturation cross, rows 6..13: (BP, SP-P) x (recompute, swap)
+    // x (kLruLeaf, kColdSubtree) at b16 under the saturated workload. Loop
+    // order fixes the row indices the finalize below depends on.
     for (PushMode mode : {PushMode::kBlind, PushMode::kSelectivePending}) {
       for (PreemptPolicy policy :
            {PreemptPolicy::kRecompute, PreemptPolicy::kSwap}) {
         for (EvictionPolicy eviction :
              {EvictionPolicy::kLruLeaf, EvictionPolicy::kColdSubtree}) {
-          for (bool decode_first : {false, true}) {
-            MemoryCase mc;
-            mc.label =
-                std::string("sat/") +
-                (mode == PushMode::kBlind ? "bp" : "spp") + "/b16/" +
-                (policy == PreemptPolicy::kSwap ? "swap" : "recompute") +
-                "/" +
-                (eviction == EvictionPolicy::kColdSubtree ? "coldsubtree"
-                                                          : "lruleaf") +
-                "/" + (decode_first ? "decodefirst" : "default");
-            mc.mode = mode;
-            mc.block_size = 16;
-            mc.policy = policy;
-            mc.saturate = true;
-            mc.eviction = eviction;
-            mc.decode_first = decode_first;
-            all_cases.push_back(std::move(mc));
-          }
+          MemoryCase mc;
+          mc.label =
+              std::string("sat/") + (mode == PushMode::kBlind ? "bp" : "spp") +
+              "/b16/" +
+              (policy == PreemptPolicy::kSwap ? "swap" : "recompute") + "/" +
+              (eviction == EvictionPolicy::kColdSubtree ? "coldsubtree"
+                                                        : "lruleaf");
+          mc.mode = mode;
+          mc.block_size = 16;
+          mc.policy = policy;
+          mc.saturate = true;
+          mc.eviction = eviction;
+          all_cases.push_back(std::move(mc));
         }
       }
     }
@@ -354,31 +335,23 @@ Scenario MakeFig07MemoryPressureScenario() {
           "spp_b16_swap_ttft_p90_over_recompute_x",
           safe_div(*report.rows[3].Find(metric_keys::kTtftP90),
                    *report.rows[2].Find(metric_keys::kTtftP90)));
-      // Saturation cross (rows 6..21, loop order bp/spp x
-      // recompute/swap x lruleaf/coldsubtree x default/decodefirst).
-      // Saturated SP-P/BP gap at seed policies — the headline the CI
-      // floor guards:
+      // Saturation cross (rows 6..13, loop order bp/spp x
+      // recompute/swap x lruleaf/coldsubtree). Saturated SP-P/BP gap at
+      // seed policies — the headline the CI floor guards:
       report.derived.emplace_back("sat_spp_vs_bp_b16_recompute_x",
-                                  safe_div(tput(14), tput(6)));
+                                  safe_div(tput(10), tput(6)));
       report.derived.emplace_back("sat_spp_vs_bp_b16_swap_x",
-                                  safe_div(tput(18), tput(10)));
-      // The same gap with both ISSUE 8 mechanisms on in both arms.
-      report.derived.emplace_back("sat_spp_vs_bp_b16_swap_tuned_x",
-                                  safe_div(tput(21), tput(13)));
-      // Mechanism ablations. Cold-subtree eviction matters where eviction
-      // churn is heaviest — under BP, which keeps pushing into jammed
-      // replicas. SP-P routes around the churn (its swap arm takes ~1
+                                  safe_div(tput(12), tput(8)));
+      // Eviction-policy ablation. Cold-subtree eviction matters where
+      // eviction churn is heaviest — under BP, which keeps pushing into
+      // jammed replicas. SP-P routes around the churn (its swap arm takes ~1
       // preemption to BP's ~12), so its cells are nearly insensitive to the
       // eviction policy at this operating point; the SP-P ratio is kept as
       // an inertness check, the BP ratio carries the CI floor.
       report.derived.emplace_back("sat_coldsubtree_vs_lruleaf_bp_swap_x",
-                                  safe_div(tput(12), tput(10)));
+                                  safe_div(tput(9), tput(8)));
       report.derived.emplace_back("sat_coldsubtree_vs_lruleaf_spp_swap_x",
-                                  safe_div(tput(20), tput(18)));
-      report.derived.emplace_back("sat_decodefirst_vs_default_spp_swap_x",
-                                  safe_div(tput(19), tput(18)));
-      report.derived.emplace_back("sat_tuned_vs_seed_spp_swap_x",
-                                  safe_div(tput(21), tput(18)));
+                                  safe_div(tput(13), tput(12)));
       report.notes.push_back(
           "Paged-memory re-run of fig09 (paper Fig. 9: SP-P/BP throughput "
           "1.27x): preemption and swap counters must be nonzero under this "
@@ -388,8 +361,8 @@ Scenario MakeFig07MemoryPressureScenario() {
           "sat_* cells (ISSUE 8) hold the shrunken KV at the admission wall "
           "all window. Closed-loop clients bound the SP-P/BP goodput gap "
           "there (~1.05x swap): BP's misrouting shows up as TTFT tail "
-          "inflation, not lost throughput. kColdSubtree's win concentrates "
-          "in the BP/swap arm, where eviction churn is sustained.");
+          "inflation, not lost throughput. kColdSubtree's smoke-size win "
+          "in the BP/swap arm (~1.05x) does not hold at full size (~0.96x).");
       return report;
     };
     return plan;

@@ -10,7 +10,6 @@
 #ifndef SKYWALKER_ANALYSIS_METRICS_H_
 #define SKYWALKER_ANALYSIS_METRICS_H_
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -53,9 +52,6 @@ class MetricsCollector : public MetricsSink {
 
   // Fraction of requests served outside their first-contact region's LB.
   double ForwardedFraction() const;
-
-  // Completed requests per replica (imbalance diagnostics).
-  std::map<ReplicaId, int64_t> PerReplicaCounts() const;
 
   const std::vector<RequestOutcome>& outcomes() const { return outcomes_; }
 
@@ -143,9 +139,6 @@ inline constexpr const char* kConfigSwaps = "config_swaps";
 
 // The standard keys above, in canonical order (schema tests iterate this).
 const std::vector<std::string>& StandardExperimentMetricKeys();
-
-// The paged-KV keys, in canonical order (what SetKvMetrics writes).
-const std::vector<std::string>& KvMemoryMetricKeys();
 
 // The resilience keys, in canonical order (fig_resilience schema).
 const std::vector<std::string>& ResilienceMetricKeys();

@@ -175,11 +175,6 @@ class PrefixCache {
   int32_t block_size_tokens() const { return block_size_; }
 
   EvictionPolicy eviction_policy() const { return policy_; }
-  // Switches the victim-selection policy mid-run (hot config reswap).
-  // Entering kColdSubtree rebuilds the subtree aggregates with one full
-  // traversal; they are then maintained incrementally. Leaving it stops
-  // maintenance (the LRU-leaf path never reads them).
-  void SetEvictionPolicy(EvictionPolicy policy);
 
   // Cumulative eviction statistics: rounds is the number of Evict() calls
   // that removed at least one node, victims the nodes removed, and
@@ -296,8 +291,6 @@ class PrefixCache {
   int64_t PinnedTokensSlow() const;
   // Adds `delta` to sub_blocks on every ancestor of `id`, root included.
   void PropagateSubBlocks(SlabId id, int64_t delta);
-  // Recomputes every node's aggregates bottom-up (policy entry, O(nodes)).
-  void RebuildAggregates();
   // Refreshes the access-side aggregates of a path node during a walk.
   void TouchAggregates(Node& n, SimTime now);
 
@@ -306,10 +299,10 @@ class PrefixCache {
 
   int64_t capacity_tokens_;
   int32_t block_size_;
-  EvictionPolicy policy_;
-  // True while aggregates are being maintained (== policy is kColdSubtree);
+  const EvictionPolicy policy_;
+  // True when aggregates are maintained (== policy is kColdSubtree);
   // hoisted into a bool so walk-path checks stay a single flag test.
-  bool maintain_aggregates_ = false;
+  const bool maintain_aggregates_;
   // Newest access timestamp ever observed (MatchAndRef/MatchPrefix/Insert).
   // Eviction has no clock parameter, so coldness is judged against this.
   SimTime newest_access_ = 0;

@@ -69,12 +69,6 @@ void SkyWalkerLb::AddPeer(SkyWalkerLb* peer) {
   lb_ring_.AddTarget(peer->id());
 }
 
-void SkyWalkerLb::RemovePeer(LbId peer_id) {
-  peers_.erase(peer_id);
-  lb_ring_.RemoveTarget(peer_id);
-  snapshot_trie_.RemoveTarget(peer_id);
-}
-
 std::vector<Replica*> SkyWalkerLb::ManagedReplicas() const {
   std::vector<Replica*> out;
   out.reserve(engine_.num_replicas());

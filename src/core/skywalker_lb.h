@@ -125,7 +125,6 @@ class SkyWalkerLb : public Frontend,
   void AttachReplica(Replica* replica);
   void DetachReplica(ReplicaId replica_id);
   void AddPeer(SkyWalkerLb* peer);
-  void RemovePeer(LbId peer_id);
   std::vector<Replica*> ManagedReplicas() const;
 
   void Start();
@@ -178,11 +177,6 @@ class SkyWalkerLb : public Frontend,
   size_t num_replicas() const { return engine_.num_replicas(); }
   size_t num_peers() const { return peers_.size(); }
   int64_t config_version() const { return config_version_; }
-
-  // LB-tracked outstanding per local replica (imbalance metrics).
-  std::vector<int> OutstandingSnapshot() const {
-    return engine_.OutstandingSnapshot();
-  }
 
   // Engine health introspection (tests, scenario assertions).
   const DispatchEngine& engine() const { return engine_; }

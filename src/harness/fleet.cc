@@ -181,16 +181,14 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   std::unique_ptr<Network> net;
   if (spec.num_shards <= 0) {
     plain_sim = std::make_unique<Simulator>();
-    net = std::make_unique<Network>(plain_sim.get(), topology,
-                                    /*jitter_fraction=*/0.0, spec.seed);
+    net = std::make_unique<Network>(plain_sim.get(), topology);
     if (spec.tracer != nullptr) {
       plain_sim->SetTracer(spec.tracer);
     }
   } else {
-    sharded = std::make_unique<ShardedSimulator>(
-        topology, spec.num_shards, spec.num_threads, /*jitter_fraction=*/0.0);
-    net = std::make_unique<Network>(sharded.get(), /*jitter_fraction=*/0.0,
-                                    spec.seed);
+    sharded = std::make_unique<ShardedSimulator>(topology, spec.num_shards,
+                                                 spec.num_threads);
+    net = std::make_unique<Network>(sharded.get());
     if (spec.tracer != nullptr) {
       sharded->SetTracer(spec.tracer);
     }

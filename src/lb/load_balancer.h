@@ -73,11 +73,6 @@ class LoadBalancer : public Frontend {
   const Stats& stats() const { return engine_.stats(); }
   size_t queue_length() const { return engine_.queue_size(); }
 
-  // Current LB-tracked outstanding per replica (for imbalance metrics).
-  std::vector<int> OutstandingSnapshot() const {
-    return engine_.OutstandingSnapshot();
-  }
-
  protected:
   DispatchEngine* engine() { return &engine_; }
   const DispatchEngine* engine() const { return &engine_; }

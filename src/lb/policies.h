@@ -100,10 +100,6 @@ class ConsistentHashLb : public LoadBalancer {
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<ConsistentHashSelector>(
                          vnodes_per_replica)) {}
-
-  // Historical alias: the selector now maintains its ring from attach
-  // notifications, so this is plain AttachReplica.
-  void AttachReplicaToRing(Replica* replica) { AttachReplica(replica); }
 };
 
 class SglRouterLb : public LoadBalancer {

@@ -7,95 +7,28 @@
 
 namespace skywalker {
 
-Network::Network(Simulator* sim, Topology topology, double jitter_fraction,
-                 uint64_t seed)
-    : sim_(sim),
-      topology_(std::move(topology)),
-      jitter_fraction_(jitter_fraction),
-      rng_(seed),
-      counters_(1) {}
+Network::Network(Simulator* sim, Topology topology)
+    : sim_(sim), topology_(std::move(topology)), counters_(1) {}
 
-Network::Network(ShardedSimulator* sharded, double jitter_fraction,
-                 uint64_t seed)
+Network::Network(ShardedSimulator* sharded)
     : sharded_(sharded),
       topology_(sharded->topology()),
-      jitter_fraction_(jitter_fraction),
-      rng_(seed),
-      counters_(static_cast<size_t>(sharded->num_shards())) {
-  // One jitter stream per region: draws are consumed in the region's own
-  // deterministic execution order, independent of shard grouping.
-  region_rngs_.reserve(topology_.num_regions());
-  for (size_t r = 0; r < topology_.num_regions(); ++r) {
-    region_rngs_.push_back(rng_.Fork(r));
-  }
-}
+      counters_(static_cast<size_t>(sharded->num_shards())) {}
 
 void Network::Send(RegionId from, RegionId to, EventFn deliver) {
-  if (sharded_ == nullptr) {
-    ++counters_[0].messages_sent;
-    if (from != to) {
-      ++counters_[0].cross_region;
-    }
-    SimDuration latency = topology_.Latency(from, to);
-    if (jitter_fraction_ > 0) {
-      double factor =
-          rng_.Uniform(1.0 - jitter_fraction_, 1.0 + jitter_fraction_);
-      latency =
-          static_cast<SimDuration>(static_cast<double>(latency) * factor);
-    }
-    sim_->ScheduleAfter(latency, std::move(deliver));
-    return;
-  }
-
-  const int from_shard = sharded_->ShardOf(from);
-  ShardCounters& counters = counters_[static_cast<size_t>(from_shard)];
-  ++counters.messages_sent;
-  if (from != to) {
-    ++counters.cross_region;
-  }
-  SimDuration latency = topology_.Latency(from, to);
-  if (jitter_fraction_ > 0) {
-    double factor = region_rngs_[static_cast<size_t>(from)].Uniform(
-        1.0 - jitter_fraction_, 1.0 + jitter_fraction_);
-    latency = static_cast<SimDuration>(static_cast<double>(latency) * factor);
-  }
-  Simulator* sender = sharded_->shard(from_shard);
-  const SimTime at = sender->now() + latency;
-  const uint64_t key = sender->NextOrderKey(from);
-  if (sharded_->ShardOf(to) == from_shard) {
-    sender->ScheduleKeyedAt(at, key, to, std::move(deliver));
-  } else {
-    sharded_->PostCrossShard(from_shard, at, key, to, std::move(deliver));
-  }
+  SendBatch(from, to, 1, std::move(deliver));
 }
 
 void Network::SendBatch(RegionId from, RegionId to, int count,
                         EventFn deliver) {
-  SKYWALKER_CHECK(ZeroJitter())
-      << "SendBatch requires a jitter-free network";
   SKYWALKER_CHECK(count >= 1);
-  if (sharded_ == nullptr) {
-    counters_[0].messages_sent += static_cast<uint64_t>(count);
-    if (from != to) {
-      counters_[0].cross_region += static_cast<uint64_t>(count);
-    }
-    sim_->ScheduleAfter(topology_.Latency(from, to), std::move(deliver));
-    return;
-  }
-  const int from_shard = sharded_->ShardOf(from);
-  ShardCounters& counters = counters_[static_cast<size_t>(from_shard)];
+  ShardCounters& counters =
+      counters_[sharded_ ? static_cast<size_t>(sharded_->ShardOf(from)) : 0];
   counters.messages_sent += static_cast<uint64_t>(count);
   if (from != to) {
     counters.cross_region += static_cast<uint64_t>(count);
   }
-  Simulator* sender = sharded_->shard(from_shard);
-  const SimTime at = sender->now() + topology_.Latency(from, to);
-  const uint64_t key = sender->NextOrderKey(from);
-  if (sharded_->ShardOf(to) == from_shard) {
-    sender->ScheduleKeyedAt(at, key, to, std::move(deliver));
-  } else {
-    sharded_->PostCrossShard(from_shard, at, key, to, std::move(deliver));
-  }
+  Deliver(from, to, topology_.Latency(from, to), std::move(deliver));
 }
 
 void Network::Deliver(RegionId from, RegionId to, SimDuration delay,

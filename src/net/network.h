@@ -1,12 +1,12 @@
 // Message-level network model over the discrete-event simulator.
 //
 // A "send" schedules a delivery closure at the destination after the one-way
-// topology latency (plus optional jitter). Higher layers pass lambdas rather
-// than serialized payloads — standard practice for discrete-event simulation,
-// and it keeps the routing logic identical to what a real RPC layer would
-// invoke on receipt. Deliveries are EventFn (small-buffer callables), so a
-// message whose captures fit inline reaches the event queue without any
-// heap allocation.
+// topology latency. Higher layers pass lambdas rather than serialized
+// payloads — standard practice for discrete-event simulation, and it keeps
+// the routing logic identical to what a real RPC layer would invoke on
+// receipt. Deliveries are EventFn (small-buffer callables), so a message
+// whose captures fit inline reaches the event queue without any heap
+// allocation.
 //
 // Sharded mode (ISSUE 6): constructed over a ShardedSimulator, the network
 // becomes the sole cross-region channel. A send executes on the sender
@@ -14,9 +14,8 @@
 // queue, cross-shard deliveries into the (src, dst) mailbox drained at the
 // next window barrier. Delivery keys are allocated from the *sender* region's
 // sequence, so the destination's execution order is independent of shard and
-// thread count. Jitter draws come from per-region RNG streams for the same
-// reason. In plain (single-Simulator) mode behavior is byte-identical to the
-// pre-sharding network.
+// thread count. In plain (single-Simulator) mode behavior is byte-identical
+// to the pre-sharding network.
 
 #ifndef SKYWALKER_NET_NETWORK_H_
 #define SKYWALKER_NET_NETWORK_H_
@@ -24,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/net/topology.h"
 #include "src/sim/sharded_simulator.h"
@@ -34,33 +32,22 @@ namespace skywalker {
 
 class Network {
  public:
-  // `jitter_fraction` adds uniform noise in [1-j, 1+j] to each delivery,
-  // deterministic under the given seed. 0 disables jitter.
-  Network(Simulator* sim, Topology topology, double jitter_fraction = 0.0,
-          uint64_t seed = kDefaultRngSeed);
+  Network(Simulator* sim, Topology topology);
 
-  // Sharded mode: topology comes from the sharded simulator. The simulator
-  // must have been built with a jitter bound >= `jitter_fraction`, or the
-  // lookahead window would admit jittered deliveries into its own window.
-  explicit Network(ShardedSimulator* sharded, double jitter_fraction = 0.0,
-                   uint64_t seed = kDefaultRngSeed);
+  // Sharded mode: topology comes from the sharded simulator.
+  explicit Network(ShardedSimulator* sharded);
 
-  // Delivers `deliver` at the destination after Latency(from, to) (+jitter).
+  // Delivers `deliver` at the destination after Latency(from, to).
   void Send(RegionId from, RegionId to, EventFn deliver);
 
   // Coalesced fan-out (ISSUE 10): one event standing in for `count`
   // logical messages from `from` to `to`. Message counters advance by
   // `count` — accounting parity with per-message sends — but only one
-  // delivery closure is scheduled. Jitter-free networks only (a batch
-  // would otherwise consume one jitter draw where `count` sends consume
-  // `count`, shifting every later draw); CHECKed. The caller must make
-  // the closure perform the per-message work in the order back-to-back
-  // individual sends would have (see DispatchEngine::ProbeAll).
+  // delivery closure is scheduled, at Latency(from, to). The caller must
+  // make the closure perform the per-message work in the order
+  // back-to-back individual sends would have (see
+  // DispatchEngine::ProbeAll).
   void SendBatch(RegionId from, RegionId to, int count, EventFn deliver);
-
-  // True when deliveries carry no jitter — the precondition for
-  // coalescing sends without perturbing the RNG streams.
-  bool ZeroJitter() const { return jitter_fraction_ <= 0.0; }
 
   // Delivers `fn` in region `to` after an explicit `delay`, charged to no
   // message counter: the response leg of an exchange whose latency the
@@ -70,7 +57,7 @@ class Network {
   // contract is violated (CHECKed at the window barrier).
   void Deliver(RegionId from, RegionId to, SimDuration delay, EventFn fn);
 
-  // Expected (jitter-free) one-way latency.
+  // One-way latency.
   SimDuration Latency(RegionId from, RegionId to) const {
     return topology_.Latency(from, to);
   }
@@ -105,9 +92,6 @@ class Network {
   Simulator* sim_ = nullptr;          // Plain mode only.
   ShardedSimulator* sharded_ = nullptr;
   Topology topology_;
-  double jitter_fraction_;
-  Rng rng_;                  // Plain-mode jitter stream (seed-compatible).
-  std::vector<Rng> region_rngs_;  // Sharded-mode per-region jitter streams.
   std::vector<ShardCounters> counters_;
 };
 

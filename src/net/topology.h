@@ -47,10 +47,6 @@ class Topology {
   // us-east, eu-west, ap-southeast with paper-calibrated latencies.
   static Topology ThreeContinents();
 
-  // Five-region topology used by the Fig. 3 aggregation study
-  // (us-east-1, us-west, eu-west, eu-central, us-east-2).
-  static Topology FiveRegions();
-
   // Four-region topology used by the fleet-scale sharded-simulation study
   // (us-east, us-west, eu-west, ap-northeast). One region per shard at the
   // 4-shard sweet spot; min inter-region one-way latency 33 ms bounds the

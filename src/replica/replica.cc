@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
@@ -156,15 +155,12 @@ void Replica::Admit() {
          running_.size() + restoring_.size() <
              static_cast<size_t>(config_.max_running_requests)) {
     Seq& candidate = pending_.front();
-    int64_t cached = 0;
-    PinId pin = kInvalidPin;
-    if (config_.enable_prefix_cache) {
-      auto match = cache_.MatchAndRef(candidate.req.prompt, sim_->now());
-      // A fully cached prompt still recomputes its last token so the engine
-      // produces the first output token (SGLang does the same).
-      cached = std::min(match.cached_len, candidate.prompt_len() - 1);
-      pin = match.pin;
-    }
+    auto match = cache_.MatchAndRef(candidate.req.prompt, sim_->now());
+    // A fully cached prompt still recomputes its last token so the engine
+    // produces the first output token (SGLang does the same).
+    const int64_t cached =
+        std::min(match.cached_len, candidate.prompt_len() - 1);
+    const PinId pin = match.pin;
     const int64_t prefill_need = candidate.prompt_len() - cached;
     // The admission check prices a full fresh request's reserve; the
     // commit below re-prices for already-generated tokens (a re-admitted
@@ -297,41 +293,12 @@ void Replica::MaybeStep() {
   if (running_.empty()) {
     return;
   }
-  // Plan the step: chunked prefill plus one decode token per decode-phase
-  // seq (mixed batch, SGLang-style), shaped by the composition policy. At
-  // the default (prefill-first, no shared budget, no decode cap) the plan
-  // is exactly the seed's.
-  const BatchCompositionConfig& comp = config_.composition;
+  // Plan the step: chunked prefill up to the step's prefill budget, plus one
+  // decode token per decode-phase seq (mixed batch, SGLang-style).
   int64_t prefill_budget = config_.max_prefill_tokens_per_step;
-  // Decodes this step may plan; the composition knobs lower it below.
-  int decode_quota = std::numeric_limits<int>::max();
-  if (comp.max_decode_batch > 0 &&
-      (comp.pressure_free_blocks == 0 ||
-       kv_.free_blocks() < comp.pressure_free_blocks)) {
-    decode_quota = comp.max_decode_batch;
-  }
-  int decode_ready = 0;
-  for (const Seq& seq : running_) {
-    if (seq.prefill_done && seq.generated < seq.output_len()) {
-      ++decode_ready;
-    }
-  }
-  if (comp.step_token_budget > 0 &&
-      comp.policy == BatchCompositionPolicy::kDecodeFirst) {
-    // Decodes claim the shared budget first; prefill gets the remainder.
-    int planned = static_cast<int>(std::min<int64_t>(
-        std::min(decode_ready, decode_quota), comp.step_token_budget));
-    if (decode_ready > 0) {
-      planned = std::max(planned, 1);  // Decode progress is guaranteed.
-    }
-    decode_quota = std::min(decode_quota, planned);
-    prefill_budget = std::max<int64_t>(
-        0, std::min(prefill_budget, comp.step_token_budget - planned));
-  } else if (comp.step_token_budget > 0) {
-    // Prefill-first: prefill claims the shared budget up to its own cap.
-    prefill_budget = std::min(prefill_budget, comp.step_token_budget);
-  }
   int64_t prefill_total = 0;
+  int decode_count = 0;
+  int64_t decode_context_tokens = 0;
   for (Seq& seq : running_) {
     seq.prefill_alloc = 0;
     seq.decode_alloc = false;
@@ -339,23 +306,8 @@ void Replica::MaybeStep() {
       seq.prefill_alloc = std::min(seq.prefill_remaining, prefill_budget);
       prefill_budget -= seq.prefill_alloc;
       prefill_total += seq.prefill_alloc;
-    }
-  }
-  if (comp.step_token_budget > 0 &&
-      comp.policy == BatchCompositionPolicy::kPrefillFirst) {
-    // Decode quota is whatever budget prefill left over — but never zero
-    // while anything is decode-ready (no starvation).
-    const int64_t remainder = comp.step_token_budget - prefill_total;
-    decode_quota = static_cast<int>(std::min<int64_t>(
-        decode_quota, std::max<int64_t>(decode_ready > 0 ? 1 : 0,
-                                        remainder)));
-  }
-  int decode_count = 0;
-  int64_t decode_context_tokens = 0;
-  for (Seq& seq : running_) {
-    if (seq.prefill_done && seq.generated < seq.output_len() &&
-        decode_count < decode_quota) {
-      seq.decode_alloc = true;  // Admission order: oldest decodes first.
+    } else if (seq.prefill_done && seq.generated < seq.output_len()) {
+      seq.decode_alloc = true;
       ++decode_count;
       decode_context_tokens += seq.prompt_len() + seq.generated;
     }
@@ -457,50 +409,46 @@ void Replica::OnPrefillComplete(Seq& seq) {
     ++stats_.output_tokens_generated;
   }
 
-  if (config_.enable_prefix_cache) {
-    // Publish prompt KV to the shared cache: the new radix node takes
-    // references on the very pages this sequence filled (the table is
-    // path-aligned), so concurrent identical prompts share them from now
-    // on. Then re-pin the full prompt and drop the sequence's claim on the
-    // published span — only generated tokens remain private, and a page
-    // straddling the prompt boundary stays shared between the cache's tail
-    // node and this sequence (cached_len keeps the admission-time value for
-    // reporting; it reflects the compute actually saved).
-    cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv),
-                  seq.kv_base);
-    if (seq.pin != kInvalidPin) {
-      cache_.Unref(seq.pin);
-    }
-    auto match = cache_.MatchAndRef(seq.req.prompt, sim_->now());
-    seq.pin = match.pin;
-    // The span to keep, positionally: the prompt remainder the cache does
-    // not cover, plus the generated tokens actually present in the table. A
-    // recompute-preemption victim re-admits with `generated == 1` but an
-    // all-prompt table (its first token's KV was dropped with the rest); it
-    // is re-materialized below as a fresh append at its true path position,
-    // never by aliasing the prompt's tail page.
-    const int64_t current = kv_.SeqTokens(seq.kv);
-    const int64_t generated_in_table =
-        current - (seq.prompt_len() - seq.kv_base);
-    const int64_t keep =
-        (seq.prompt_len() - match.cached_len) + generated_in_table;
-    SKYWALKER_CHECK(keep >= 0 && keep <= current) << "publish span";
-    kv_.ReleaseSeqPrefix(seq.kv, current - keep);
-    seq.kv_base += current - keep;
-    if (seq.generated > generated_in_table) {
-      kv_.RestoreDecodedTokens(seq.kv, seq.generated - generated_in_table);
-    }
-    const int32_t block = config_.kv_block_size_tokens;
-    if (block > 1 && seq.prompt_len() % block != 0) {
-      // The page holding the prompt's last token is (typically) shared with
-      // the cache now; decode may extend into its free slots without a
-      // copy — the slots are disjoint from what the cache reads.
-      const int64_t idx =
-          (seq.prompt_len() - 1) / block - seq.kv_base / block;
-      const BlockTable& table = kv_.table(seq.kv);
-      if (idx >= 0 && idx < table.num_blocks()) {
-        kv_.SetCowExempt(seq.kv, table.blocks()[static_cast<size_t>(idx)]);
-      }
+  // Publish prompt KV to the shared cache: the new radix node takes
+  // references on the very pages this sequence filled (the table is
+  // path-aligned), so concurrent identical prompts share them from now
+  // on. Then re-pin the full prompt and drop the sequence's claim on the
+  // published span — only generated tokens remain private, and a page
+  // straddling the prompt boundary stays shared between the cache's tail
+  // node and this sequence (cached_len keeps the admission-time value for
+  // reporting; it reflects the compute actually saved).
+  cache_.Insert(seq.req.prompt, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
+  if (seq.pin != kInvalidPin) {
+    cache_.Unref(seq.pin);
+  }
+  auto match = cache_.MatchAndRef(seq.req.prompt, sim_->now());
+  seq.pin = match.pin;
+  // The span to keep, positionally: the prompt remainder the cache does
+  // not cover, plus the generated tokens actually present in the table. A
+  // recompute-preemption victim re-admits with `generated == 1` but an
+  // all-prompt table (its first token's KV was dropped with the rest); it
+  // is re-materialized below as a fresh append at its true path position,
+  // never by aliasing the prompt's tail page.
+  const int64_t current = kv_.SeqTokens(seq.kv);
+  const int64_t generated_in_table =
+      current - (seq.prompt_len() - seq.kv_base);
+  const int64_t keep =
+      (seq.prompt_len() - match.cached_len) + generated_in_table;
+  SKYWALKER_CHECK(keep >= 0 && keep <= current) << "publish span";
+  kv_.ReleaseSeqPrefix(seq.kv, current - keep);
+  seq.kv_base += current - keep;
+  if (seq.generated > generated_in_table) {
+    kv_.RestoreDecodedTokens(seq.kv, seq.generated - generated_in_table);
+  }
+  const int32_t block = config_.kv_block_size_tokens;
+  if (block > 1 && seq.prompt_len() % block != 0) {
+    // The page holding the prompt's last token is (typically) shared with
+    // the cache now; decode may extend into its free slots without a
+    // copy — the slots are disjoint from what the cache reads.
+    const int64_t idx = (seq.prompt_len() - 1) / block - seq.kv_base / block;
+    const BlockTable& table = kv_.table(seq.kv);
+    if (idx >= 0 && idx < table.num_blocks()) {
+      kv_.SetCowExempt(seq.kv, table.blocks()[static_cast<size_t>(idx)]);
     }
   }
 
@@ -518,16 +466,14 @@ void Replica::OnPrefillComplete(Seq& seq) {
 }
 
 void Replica::CompleteSeq(Seq& seq) {
-  if (config_.enable_prefix_cache) {
-    TokenSeq full = seq.req.prompt;
-    full.insert(full.end(), seq.req.output.begin(), seq.req.output.end());
-    // The generated suffix publishes the same way the prompt did: by
-    // reference transfer from the sequence's path-aligned table.
-    cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
-    if (seq.pin != kInvalidPin) {
-      cache_.Unref(seq.pin);
-      seq.pin = kInvalidPin;
-    }
+  TokenSeq full = seq.req.prompt;
+  full.insert(full.end(), seq.req.output.begin(), seq.req.output.end());
+  // The generated suffix publishes the same way the prompt did: by
+  // reference transfer from the sequence's path-aligned table.
+  cache_.Insert(full, sim_->now(), &kv_.table(seq.kv), seq.kv_base);
+  if (seq.pin != kInvalidPin) {
+    cache_.Unref(seq.pin);
+    seq.pin = kInvalidPin;
   }
   // Blocks and the unconsumed output reserve return here — exactly once.
   // Pages the cache took references on survive; the rest free.
@@ -685,17 +631,6 @@ void Replica::Recover() { serving_ = true; }
 void Replica::SetSlowdown(double factor) {
   SKYWALKER_CHECK(factor > 0.0) << "slowdown must be positive";
   slowdown_ = factor;
-}
-
-void Replica::ApplyComposition(const BatchCompositionConfig& composition) {
-  // Steps in flight already carry their plan in prefill_alloc/decode_alloc;
-  // the new shape applies from the next MaybeStep.
-  config_.composition = composition;
-}
-
-void Replica::ApplyCacheEvictionPolicy(EvictionPolicy policy) {
-  config_.cache_eviction_policy = policy;
-  cache_.SetEvictionPolicy(policy);
 }
 
 double AggregateCacheHitRate(

@@ -53,40 +53,6 @@
 
 namespace skywalker {
 
-// Per-step batch composition under saturation (ISSUE 8). The seed engine
-// plans every step the same way: chunked prefill claims its own token
-// budget, then every decode-ready sequence decodes one token. Under memory
-// pressure that mix thrashes — admissions keep prefilling new sequences
-// whose KV growth immediately preempts the decode stream. These knobs shape
-// the step instead:
-//  * kDecodeFirst hands the step's shared token budget to decodes before
-//    prefill gets the remainder, draining in-flight work (and its KV) ahead
-//    of taking on more;
-//  * a shared step_token_budget prices one decode token equal to one
-//    prefill token, bounding step latency under mixed load;
-//  * max_decode_batch caps decodes per step once free blocks fall under
-//    pressure_free_blocks, trading decode parallelism for headroom.
-// Every knob is inert at its default — the plan is then byte-identical to
-// the seed, which the committed goldens pin.
-enum class BatchCompositionPolicy : uint8_t {
-  kPrefillFirst,  // Seed order: prefill claims the step first.
-  kDecodeFirst,   // Decodes claim the shared budget first.
-};
-
-struct BatchCompositionConfig {
-  BatchCompositionPolicy policy = BatchCompositionPolicy::kPrefillFirst;
-  // Shared per-step token budget (a decode counts one token). 0 = off:
-  // prefill uses only max_prefill_tokens_per_step and decode is unbounded.
-  // Whenever any sequence is decode-ready the plan grants at least one
-  // decode, so a huge prefill backlog can never starve decode progress.
-  int64_t step_token_budget = 0;
-  // Decodes-per-step cap. 0 = uncapped.
-  int max_decode_batch = 0;
-  // The cap binds only while kv free blocks are below this; 0 means the
-  // cap (when set) binds unconditionally.
-  int64_t pressure_free_blocks = 0;
-};
-
 struct ReplicaConfig {
   // KV memory in tokens. Default models an L4 (24 GB) serving
   // Llama-3.1-8B: ~6 GB free for KV at 128 KiB/token ≈ 49K tokens.
@@ -111,8 +77,6 @@ struct ReplicaConfig {
   double decode_us_per_seq = 400.0;
   double decode_us_per_context_token = 0.5;
 
-  bool enable_prefix_cache = true;
-
   // Record a memory-utilization sample every N engine steps (0 disables).
   int memory_sample_every_steps = 4;
 
@@ -131,9 +95,6 @@ struct ReplicaConfig {
   // kLruLeaf is the behavior-frozen seed policy; kColdSubtree evicts whole
   // cold subtrees ranked by pages-per-expected-future-hit.
   EvictionPolicy cache_eviction_policy = EvictionPolicy::kLruLeaf;
-
-  // Per-step batch composition (ISSUE 8). Defaults are inert (seed plan).
-  BatchCompositionConfig composition;
 
   KvConfig kv() const {
     KvConfig config;
@@ -314,14 +275,6 @@ class Replica {
   // bit-identical to a build without the knob.
   void SetSlowdown(double factor);
   double slowdown() const { return slowdown_; }
-
-  // Hot-reswaps the per-step batch composition (dispatch-layer config push,
-  // ISSUE 7 reswap contract): takes effect at the next step plan; steps in
-  // flight finish under the plan they were priced with.
-  void ApplyComposition(const BatchCompositionConfig& composition);
-  // Hot-reswaps the prefix cache's eviction policy. Entering kColdSubtree
-  // rebuilds the subtree aggregates in one traversal.
-  void ApplyCacheEvictionPolicy(EvictionPolicy policy);
 
  private:
   struct Seq {

@@ -84,9 +84,6 @@ void DispatchEngine::AttachReplica(Replica* replica) {
   state.replica = replica;
   index_.emplace(replica->id(), replicas_.size());
   replicas_.push_back(std::move(state));
-  if (config_.manage_composition) {
-    replica->ApplyComposition(config_.composition);
-  }
   RebuildSelectionIndex();
   selector_->OnReplicaAttached(replica);
   TryDispatch();
@@ -147,13 +144,6 @@ void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
   if (Tracer* t = sim_->tracer()) {
     EmitTrace(t, sim_->now(), TraceEventType::kConfigSwap, region_,
               kInvalidReplica, -1, static_cast<int64_t>(config_.push_mode));
-  }
-  if (config_.manage_composition) {
-    // Push the step-composition snapshot to every managed replica; each
-    // picks it up at its next step plan (in-flight steps are untouched).
-    for (ReplicaState& state : replicas_) {
-      state.replica->ApplyComposition(config_.composition);
-    }
   }
   // The probe task picks the new interval up at its next reschedule; the
   // loop itself starts or stops with the need for one (a kBlind engine
@@ -331,16 +321,6 @@ ReplicaId DispatchEngine::LeastLoadedAvailableLinear() const {
     }
   }
   return best;
-}
-
-std::vector<ReplicaId> DispatchEngine::AvailableReplicas() const {
-  std::vector<ReplicaId> out;
-  for (const ReplicaState& state : replicas_) {
-    if (IsAvailable(state)) {
-      out.push_back(state.replica->id());
-    }
-  }
-  return out;
 }
 
 std::vector<int> DispatchEngine::OutstandingSnapshot() const {
@@ -735,10 +715,10 @@ void DispatchEngine::ProbeAll() {
   if (config_.outlier.enabled) {
     EvaluateOutliers();
   }
-  // Batched fan-out (ISSUE 10): with jitter-free links and the outlier
-  // machinery off (its per-replica timeout events interleave sender keys),
-  // the per-replica probe round trips coalesce into one event per
-  // destination region in each direction. This is byte-identical to the
+  // Batched fan-out: with the outlier machinery off (its
+  // per-replica timeout events interleave sender keys), the per-replica
+  // probe round trips coalesce into one event per destination region in
+  // each direction. This is byte-identical to the
   // per-replica path: within one destination the per-replica work runs in
   // attach order, exactly the order the individual events would have
   // executed (they carry consecutive sender keys at one timestamp, which
@@ -746,7 +726,7 @@ void DispatchEngine::ProbeAll() {
   // by (time, origin region) both ways; and per-origin response keys are
   // assigned in the same order, so downstream ordering is unchanged.
   // Message counters advance per logical message (SendBatch).
-  if (!config_.outlier.enabled && net_->ZeroJitter() && !replicas_.empty()) {
+  if (!config_.outlier.enabled && !replicas_.empty()) {
     struct ProbeTarget {
       Replica* replica;
       int64_t epoch;

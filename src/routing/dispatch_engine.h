@@ -104,14 +104,6 @@ struct DispatchConfig {
   // pre-resilience engine.
   OutlierConfig outlier;
 
-  // Per-step batch composition pushed to every managed replica (ISSUE 8).
-  // Only applied when manage_composition is true — the balancer layer then
-  // owns the knob and AttachReplica/ApplyConfig propagate `composition` to
-  // the engines, making it reswappable and ablatable from RuntimeConfig.
-  // False leaves each replica's own configuration untouched.
-  bool manage_composition = false;
-  BatchCompositionConfig composition;
-
   // Debug oracle (ISSUE 10): every LeastLoadedAvailable answer is checked
   // against the retained linear scan (fatal on divergence). Config-level so
   // whole fleets — including sharded multi-threaded runs — can flip it on in
@@ -328,7 +320,6 @@ class DispatchEngine {
   // O(1) reads of the incrementally maintained availability counters.
   bool AnyAvailable() const { return available_count_ > 0; }
   int AvailableCount() const { return available_count_; }
-  std::vector<ReplicaId> AvailableReplicas() const;
 
   // Replicas currently in kEjected (max-ejection-fraction accounting).
   int EjectedCount() const { return ejected_count_; }

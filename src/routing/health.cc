@@ -4,22 +4,6 @@
 
 namespace skywalker {
 
-const char* HealthStatusName(HealthStatus status) {
-  switch (status) {
-    case HealthStatus::kHealthy:
-      return "healthy";
-    case HealthStatus::kDegraded:
-      return "degraded";
-    case HealthStatus::kRecovering:
-      return "recovering";
-    case HealthStatus::kEjected:
-      return "ejected";
-    case HealthStatus::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
 bool EjectionAllowed(int currently_ejected, size_t fleet_size,
                      double max_ejection_fraction) {
   if (max_ejection_fraction <= 0.0) return false;

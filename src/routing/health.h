@@ -47,8 +47,6 @@ enum class HealthStatus {
   kFailed,      // Administratively down (LB failure, §4.2).
 };
 
-const char* HealthStatusName(HealthStatus status);
-
 // Whether a target in `status` may take traffic at all. The half-open
 // restriction on kRecovering (one request at a time) is the caller's job.
 inline bool CanServe(HealthStatus status) {

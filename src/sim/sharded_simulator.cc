@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -20,11 +19,10 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
-                                   int num_threads, double jitter_fraction)
+                                   int num_threads)
     : topology_(topology) {
   SKYWALKER_CHECK(num_shards >= 1);
   SKYWALKER_CHECK(topology_.num_regions() >= 1);
-  SKYWALKER_CHECK(jitter_fraction >= 0.0 && jitter_fraction < 1.0);
   num_shards = std::min<int>(num_shards,
                              static_cast<int>(topology_.num_regions()));
   num_threads_ = num_threads <= 0 ? num_shards : std::min(num_threads,
@@ -47,13 +45,13 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
   active_.assign(static_cast<size_t>(num_shards), 0);
 
   // Per-pair lookahead: for each ordered shard pair (src, dst), the min
-  // src->dst one-way latency over region pairs straddling them, discounted
-  // by the jitter bound (jittered latency can be as low as
-  // floor(latency * (1 - j))). The global lookahead_ is their minimum —
-  // identical to the pre-ISSUE-10 single bound.
+  // src->dst one-way latency over region pairs straddling them. The global
+  // lookahead_ is their minimum (the single global bound) and stays
+  // kSimTimeMax with a single shard.
   pair_lookahead_.assign(static_cast<size_t>(num_shards) *
                              static_cast<size_t>(num_shards),
                          kSimTimeMax);
+  lookahead_ = kSimTimeMax;
   const RegionId n = static_cast<RegionId>(topology_.num_regions());
   for (RegionId a = 0; a < n; ++a) {
     for (RegionId b = 0; b < n; ++b) {
@@ -65,23 +63,6 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
                               static_cast<size_t>(num_shards) +
                           static_cast<size_t>(ShardOf(b))];
       slot = std::min(slot, topology_.Latency(a, b));
-    }
-  }
-  if (num_shards == 1) {
-    lookahead_ = kSimTimeMax;
-    return;
-  }
-  lookahead_ = kSimTimeMax;
-  for (int src = 0; src < num_shards; ++src) {
-    for (int dst = 0; dst < num_shards; ++dst) {
-      if (src == dst) {
-        continue;
-      }
-      SimDuration& slot = pair_lookahead_[static_cast<size_t>(src) *
-                                              static_cast<size_t>(num_shards) +
-                                          static_cast<size_t>(dst)];
-      slot = static_cast<SimDuration>(
-          std::floor(static_cast<double>(slot) * (1.0 - jitter_fraction)));
       SKYWALKER_CHECK(slot >= 1)
           << "cross-shard latency too small for a lookahead window";
       lookahead_ = std::min(lookahead_, slot);

@@ -60,11 +60,9 @@ class ShardedSimulator {
   // Fixed shard assignment: region r -> shard r % num_shards (part of the
   // determinism contract; see DESIGN.md §7.2). `num_threads` caps the
   // worker pool (0 = one thread per shard; 1 = serial windows, same
-  // results). `jitter_fraction` must be an upper bound on the Network
-  // jitter so the lookahead window stays conservative under jittered
-  // latencies.
+  // results).
   ShardedSimulator(const Topology& topology, int num_shards,
-                   int num_threads = 0, double jitter_fraction = 0.0);
+                   int num_threads = 0);
   ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -74,15 +72,15 @@ class ShardedSimulator {
   int num_threads() const { return num_threads_; }
   const Topology& topology() const { return topology_; }
 
-  // The global conservative lookahead: min cross-shard one-way latency,
-  // discounted by the jitter bound. kSimTimeMax with a single shard. Rounds
-  // actually advance against the tighter per-(src,dst) bounds (ISSUE 10);
-  // this is their minimum, kept for telemetry and as the worst-case rate.
+  // The global conservative lookahead: min cross-shard one-way latency.
+  // kSimTimeMax with a single shard. Rounds actually advance against the
+  // tighter per-(src,dst) bounds; this is their minimum, kept for
+  // telemetry and as the worst-case rate.
   SimDuration lookahead() const { return lookahead_; }
 
   // The per-pair conservative bound: min src->dst one-way latency over
-  // region pairs straddling the two shards, jitter-discounted. kSimTimeMax
-  // on the diagonal (a shard never throttles itself).
+  // region pairs straddling the two shards. kSimTimeMax on the diagonal (a
+  // shard never throttles itself).
   SimDuration PairLookahead(int src_shard, int dst_shard) const {
     return pair_lookahead_[static_cast<size_t>(src_shard) *
                                static_cast<size_t>(num_shards()) +

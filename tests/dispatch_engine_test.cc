@@ -433,41 +433,5 @@ TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
   EXPECT_GT(bench.engine->stats().queue_wait_sec.max(), 0.5);
 }
 
-TEST(DispatchEngineTest, ManagedCompositionPushesToReplicasOnAttachAndSwap) {
-  // ISSUE 8: when the balancer owns the batch-composition knob, it is
-  // propagated to every replica at attach time and again on a hot config
-  // reswap — making the policy ablatable from RuntimeConfig.
-  DispatchConfig config;
-  config.manage_composition = true;
-  config.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-  config.composition.step_token_budget = 256;
-  EngineBench bench(2, config);
-  for (const auto& replica : bench.replicas) {
-    EXPECT_EQ(replica->config().composition.policy,
-              BatchCompositionPolicy::kDecodeFirst);
-    EXPECT_EQ(replica->config().composition.step_token_budget, 256);
-  }
-
-  DispatchConfig next = config;
-  next.composition.step_token_budget = 0;
-  next.composition.max_decode_batch = 4;
-  bench.engine->ApplyConfig(next);
-  for (const auto& replica : bench.replicas) {
-    EXPECT_EQ(replica->config().composition.step_token_budget, 0);
-    EXPECT_EQ(replica->config().composition.max_decode_batch, 4);
-  }
-}
-
-TEST(DispatchEngineTest, UnmanagedCompositionLeavesReplicaKnobsAlone) {
-  // Default manage_composition=false: a replica configured directly keeps
-  // its own composition across attach and config swaps.
-  ReplicaConfig rconfig;
-  rconfig.composition.max_decode_batch = 2;
-  EngineBench bench(1, DispatchConfig{}, rconfig);
-  EXPECT_EQ(bench.replicas[0]->config().composition.max_decode_batch, 2);
-  bench.engine->ApplyConfig(DispatchConfig{});
-  EXPECT_EQ(bench.replicas[0]->config().composition.max_decode_batch, 2);
-}
-
 }  // namespace
 }  // namespace skywalker

@@ -1,5 +1,7 @@
 // Unit tests for the topology and network model.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "src/net/network.h"
@@ -153,26 +155,7 @@ TEST(NetworkTest, ShardedDeliverHonorsMinimumLatency) {
   EXPECT_EQ(arrival, topo.Latency(0, 1) + Milliseconds(5));
 }
 
-TEST(NetworkTest, JitterStaysWithinBounds) {
-  Simulator sim;
-  Topology t;
-  RegionId a = t.AddRegion("a");
-  RegionId b = t.AddRegion("b");
-  t.SetLatency(a, b, Milliseconds(100));
-  Network net(&sim, t, /*jitter_fraction=*/0.1, /*seed=*/7);
-
-  for (int i = 0; i < 200; ++i) {
-    SimTime start = sim.now();
-    SimTime arrival = -1;
-    net.Send(a, b, [&] { arrival = sim.now(); });
-    sim.Run();
-    SimDuration latency = arrival - start;
-    EXPECT_GE(latency, Milliseconds(90));
-    EXPECT_LE(latency, Milliseconds(110));
-  }
-}
-
-TEST(NetworkTest, ZeroJitterIsExact) {
+TEST(NetworkTest, DeliveryTimeIsExactLatency) {
   Simulator sim;
   Topology t = Topology::ThreeContinents();
   Network net(&sim, t);
@@ -180,6 +163,57 @@ TEST(NetworkTest, ZeroJitterIsExact) {
   net.Send(0, 2, [&] { arrival = sim.now(); });
   sim.Run();
   EXPECT_EQ(arrival, t.Latency(0, 2));
+}
+
+// SendBatch stands in for `count` messages: both counters advance by
+// `count`, but exactly one delivery runs, at Latency(from, to).
+TEST(NetworkTest, SendBatchPlainCountsAllDeliversOnce) {
+  Simulator sim;
+  Topology t = Topology::ThreeContinents();
+  Network net(&sim, t);
+  int deliveries = 0;
+  SimTime arrival = -1;
+  net.SendBatch(0, 2, /*count=*/5, [&] {
+    ++deliveries;
+    arrival = sim.now();
+  });
+  sim.Run();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(arrival, t.Latency(0, 2));
+  EXPECT_EQ(net.messages_sent(), 5u);
+  EXPECT_EQ(net.cross_region_messages(), 5u);
+}
+
+// Sends a batch of `count` from region 0 to `to` on a 2-shard FourRegions
+// simulator (shards {0, 2} and {1, 3}) and checks the SendBatch contract.
+void CheckShardedSendBatch(RegionId to, int count, bool same_shard) {
+  Topology topo = Topology::FourRegions();
+  ShardedSimulator sim(topo, /*num_shards=*/2, /*num_threads=*/1);
+  ASSERT_EQ(sim.ShardOf(0) == sim.ShardOf(to), same_shard);
+  Network net(&sim);
+  int deliveries = 0;
+  SimTime arrival = -1;
+  Simulator* sender = net.SimForRegion(0);
+  sender->SetCurrentRegion(0);
+  sender->ScheduleAt(0, [&] {
+    net.SendBatch(0, to, count, [&] {
+      ++deliveries;
+      arrival = net.SimForRegion(to)->now();
+    });
+  });
+  sim.RunUntil(Seconds(1));
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(arrival, topo.Latency(0, to));
+  EXPECT_EQ(net.messages_sent(), static_cast<uint64_t>(count));
+  EXPECT_EQ(net.cross_region_messages(), static_cast<uint64_t>(count));
+}
+
+TEST(NetworkTest, SendBatchShardedSameShardCountsAllDeliversOnce) {
+  CheckShardedSendBatch(/*to=*/2, /*count=*/3, /*same_shard=*/true);
+}
+
+TEST(NetworkTest, SendBatchShardedCrossShardCountsAllDeliversOnce) {
+  CheckShardedSendBatch(/*to=*/1, /*count=*/4, /*same_shard=*/false);
 }
 
 }  // namespace

@@ -439,34 +439,6 @@ TEST(ColdSubtreeTest, ScorePrefersFewHitsPerPage) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
-TEST(ColdSubtreeTest, PolicyReswapRebuildsAggregates) {
-  BlockAllocator alloc(4096);
-  PrefixCache cache(65536, &alloc, 16);  // Starts as seed kLruLeaf.
-  ASSERT_EQ(cache.eviction_policy(), EvictionPolicy::kLruLeaf);
-  TokenSeq shared = Iota(32);
-  TokenSeq a = shared;
-  TokenSeq b = shared;
-  for (Token t = 0; t < 48; ++t) {
-    a.push_back(1000 + t);
-    b.push_back(2000 + t);
-  }
-  cache.Insert(a, 10);
-  cache.Insert(b, 20);
-  cache.MatchPrefix(a, 30);  // Splits happened; aggregates not maintained.
-  // Hot reswap: aggregates are rebuilt in one traversal and validated by
-  // CheckInvariants from here on.
-  cache.SetEvictionPolicy(EvictionPolicy::kColdSubtree);
-  EXPECT_TRUE(cache.CheckInvariants());
-  cache.Insert(Iota(16, 9000), 2'000'000);
-  EXPECT_GT(cache.Evict(1), 0);  // Cold pass covers the pre-reswap tree.
-  EXPECT_TRUE(cache.CheckInvariants());
-  // Swapping back stops maintenance and eviction still drains fully.
-  cache.SetEvictionPolicy(EvictionPolicy::kLruLeaf);
-  cache.Evict(1 << 20);
-  EXPECT_EQ(cache.size_tokens(), 0);
-  EXPECT_TRUE(cache.CheckInvariants());
-}
-
 TEST(ColdSubtreeTest, ColdSubtreeReclaimsMorePagesPerVictimScan) {
   // The mechanism claim behind the micro cell: under a skewed hot/cold
   // tree, cold-subtree eviction reclaims whole branches in one round while

@@ -216,21 +216,6 @@ TEST(ReplicaTest, SharedPrefixAdmitsMoreConcurrency) {
   EXPECT_GT(shared.cached_tokens_reused, disjoint.cached_tokens_reused);
 }
 
-TEST(ReplicaTest, DisabledCacheNeverReuses) {
-  Simulator sim;
-  ReplicaConfig config;
-  config.enable_prefix_cache = false;
-  Replica replica(&sim, 0, 0, config);
-  Completion a;
-  Completion b;
-  replica.Enqueue(MakeRequest(1, 128, 4), Record(&sim, &a));
-  sim.Run();
-  replica.Enqueue(MakeRequest(2, 128, 4), Record(&sim, &b));
-  sim.Run();
-  EXPECT_EQ(b.cached, 0);
-  EXPECT_EQ(replica.stats().cached_tokens_reused, 0);
-}
-
 TEST(ReplicaTest, BatchingAmortizesStepOverhead) {
   // Total time for N concurrent decodes must be far below N * serial time.
   auto elapsed = [](int n) {
@@ -497,122 +482,9 @@ TEST(ReplicaPagedTest, SnapshotReportsHeadroomSignals) {
   EXPECT_EQ(drained.preemptions, replica.stats().preemptions);
 }
 
-// --- Per-step batch composition (ISSUE 8) --------------------------------
+// --- Saturation ---------------------------------------------------------
 
-// Runs `n` identical mixed prefill/decode requests to completion and
-// returns (completion time of the last one, engine steps taken).
-std::pair<SimTime, int64_t> RunComposition(const ReplicaConfig& config,
-                                           int n = 4) {
-  Simulator sim;
-  Replica replica(&sim, 0, 0, config);
-  std::vector<Completion> done(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    replica.Enqueue(MakeRequest(static_cast<RequestId>(i), 512, 30,
-                                static_cast<Token>(i) * 10'000),
-                    Record(&sim, &done[static_cast<size_t>(i)]));
-  }
-  sim.Run();
-  SimTime last = 0;
-  for (const Completion& c : done) {
-    EXPECT_GT(c.completed, 0);
-    last = std::max(last, c.completed);
-  }
-  EXPECT_EQ(replica.stats().completed, n);
-  return {last, replica.stats().engine_steps};
-}
-
-TEST(ReplicaCompositionTest, PolicyAndPressureGateAreInertWithoutBudget) {
-  // The knobs must be pure opt-in: a decode-first policy with no shared
-  // budget, and a decode cap whose pressure gate never trips, both replay
-  // the seed plan step for step.
-  auto [seed_done, seed_steps] = RunComposition(ReplicaConfig{});
-
-  ReplicaConfig policy_only;
-  policy_only.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-  auto [p_done, p_steps] = RunComposition(policy_only);
-  EXPECT_EQ(p_done, seed_done);
-  EXPECT_EQ(p_steps, seed_steps);
-
-  ReplicaConfig gated_cap;
-  gated_cap.composition.max_decode_batch = 1;
-  gated_cap.composition.pressure_free_blocks = 1;  // free_blocks < 1: never.
-  auto [g_done, g_steps] = RunComposition(gated_cap);
-  EXPECT_EQ(g_done, seed_done);
-  EXPECT_EQ(g_steps, seed_steps);
-}
-
-TEST(ReplicaCompositionTest, DecodeFirstBudgetChunksPrefillAndCompletes) {
-  auto [seed_done, seed_steps] = RunComposition(ReplicaConfig{});
-
-  ReplicaConfig budgeted;
-  budgeted.composition.policy = BatchCompositionPolicy::kDecodeFirst;
-  budgeted.composition.step_token_budget = 64;
-  auto [b_done, b_steps] = RunComposition(budgeted);
-  // A 512-token prompt now prefills in 64-token slices, so the run takes
-  // many more (smaller) steps — but decode progress is guaranteed each
-  // step, so everything still drains.
-  EXPECT_GT(b_steps, seed_steps);
-  EXPECT_GT(b_done, 0);
-}
-
-TEST(ReplicaCompositionTest, PrefillFirstBudgetNeverStarvesDecode) {
-  ReplicaConfig budgeted;
-  budgeted.composition.policy = BatchCompositionPolicy::kPrefillFirst;
-  budgeted.composition.step_token_budget = 64;
-  // Prefill claims the whole 64-token budget while ramping, leaving a zero
-  // remainder — the floor of one decode per step must still drain decodes.
-  auto [done, steps] = RunComposition(budgeted);
-  EXPECT_GT(done, 0);
-  EXPECT_GT(steps, 0);
-}
-
-TEST(ReplicaCompositionTest, DecodeCapBoundsDecodesPerStep) {
-  auto [seed_done, seed_steps] = RunComposition(ReplicaConfig{});
-
-  ReplicaConfig capped;
-  capped.composition.max_decode_batch = 1;  // pressure_free_blocks 0: always.
-  auto [c_done, c_steps] = RunComposition(capped);
-  // 4 seqs x 29 post-prefill output tokens (the first token rides the
-  // prefill-completion step), at most one decode per step: at least 116
-  // decode steps where the seed batches 4-wide (~30).
-  EXPECT_GE(c_steps, 116);
-  EXPECT_GT(c_steps, seed_steps);
-  EXPECT_GT(c_done, seed_done);  // Serialized decode costs wall time.
-}
-
-TEST(ReplicaCompositionTest, CompositionIsHotSwappable) {
-  Simulator sim;
-  Replica replica(&sim, 0, 0, ReplicaConfig{});
-  Completion c;
-  replica.Enqueue(MakeRequest(1, 256, 400), Record(&sim, &c));
-  sim.RunFor(Seconds(1));
-  BatchCompositionConfig comp;
-  comp.max_decode_batch = 1;
-  replica.ApplyComposition(comp);  // Mid-run reswap; next plan uses it.
-  EXPECT_EQ(replica.config().composition.max_decode_batch, 1);
-  sim.Run();
-  EXPECT_GT(c.completed, 0);
-  EXPECT_EQ(replica.stats().completed, 1);
-}
-
-TEST(ReplicaCompositionTest, CacheEvictionPolicyIsHotSwappable) {
-  Simulator sim;
-  ReplicaConfig config;
-  config.kv_capacity_tokens = 4096;
-  config.kv_block_size_tokens = 16;
-  Replica replica(&sim, 0, 0, config);
-  Completion c;
-  replica.Enqueue(MakeRequest(1, 256, 64), Record(&sim, &c));
-  sim.RunFor(Milliseconds(500));
-  replica.ApplyCacheEvictionPolicy(EvictionPolicy::kColdSubtree);
-  EXPECT_EQ(replica.cache().eviction_policy(), EvictionPolicy::kColdSubtree);
-  EXPECT_TRUE(replica.cache().CheckInvariants());  // Aggregates rebuilt.
-  sim.Run();
-  EXPECT_EQ(replica.stats().completed, 1);
-  EXPECT_TRUE(replica.kv().CheckConsistency());
-}
-
-TEST(ReplicaCompositionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
+TEST(ReplicaSaturationTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
   // End-to-end: a paged replica under sustained pressure with the new
   // eviction policy completes everything and keeps the unified ledger
   // consistent.
@@ -638,7 +510,7 @@ TEST(ReplicaCompositionTest, ColdSubtreeReplicaDrainsSaturatedLoad) {
   EXPECT_TRUE(replica.kv().CheckConsistency());
 }
 
-TEST(ReplicaCompositionTest, EwmaOnlyFoldsStepsThatDecoded) {
+TEST(ReplicaSaturationTest, EwmaOnlyFoldsStepsThatDecoded) {
   // ISSUE 8 fix: prefill-only steps must not grow the probe-visible decode
   // EWMA sample count. One sequence, 1536-token prompt (two chunked prefill
   // steps), 20 output tokens: exactly 20 decode steps fold in.

@@ -52,13 +52,6 @@ TEST(ShardedSimulatorTest, LookaheadIsMinCrossShardLatency) {
   EXPECT_EQ(one.lookahead(), kSimTimeMax);
 }
 
-TEST(ShardedSimulatorTest, JitterBoundDiscountsLookahead) {
-  ShardedSimulator sim(Topology::FourRegions(), 4, /*num_threads=*/1,
-                       /*jitter_fraction=*/0.1);
-  EXPECT_EQ(sim.lookahead(),
-            static_cast<SimDuration>(Milliseconds(33) * 9 / 10));
-}
-
 TEST(EventQueueTest, KeyedPopOrderIsTimeThenKey) {
   EventQueue queue;
   std::vector<int> order;
