@@ -1,5 +1,5 @@
-// Resilience pack (ISSUE 7): hostile scenarios for the health state machine,
-// passive outlier ejection, and hot config reswap, all on the fleet harness.
+// Resilience pack (ISSUE 7): hostile scenarios for the health state machine
+// and passive outlier ejection, all on the fleet harness.
 //
 // Cells:
 //  * blackout_resil / blackout_noresil — region 1 loses its LB and all of
@@ -15,11 +15,6 @@
 //    derived `gray_goodput_gain_x` is the on/off goodput ratio.
 //  * flash_crowd — a second client cohort lands on region 0 mid-window
 //    (diurnal shift); reports how goodput and forwarding absorb it.
-//  * reswap / reswap_shards4 — a RuntimeConfig snapshot (push mode, routing
-//    policy, probe cadence) is published mid-run through the ConfigStore.
-//    The pair runs identical specs on 1 shard / 1 thread and 4 shards / 8
-//    threads with full traces; `reswap_determinism_ok` certifies the swap
-//    is bit-identical under parallel execution.
 
 #include <memory>
 #include <string>
@@ -27,7 +22,6 @@
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
-#include "src/common/hash.h"
 #include "src/harness/fleet.h"
 #include "src/obs/trace.h"
 
@@ -140,8 +134,6 @@ MetricRow ResilienceRow(const std::string& label, const FleetSpec& spec,
   row.Set(metric_keys::kRecoveries, static_cast<double>(result.recoveries));
   row.Set(metric_keys::kClientErrors,
           static_cast<double>(result.client_errors));
-  row.Set(metric_keys::kConfigSwaps,
-          static_cast<double>(result.config_swaps));
   return row;
 }
 
@@ -253,42 +245,6 @@ MetricRow RunFlashCrowd(const std::string& label,
   return ResilienceRow(label, spec, result).Dim("cell", "flash_crowd");
 }
 
-// --- mid-run config reswap, determinism pair ---
-
-MetricRow RunReswap(const std::string& label, int num_shards, int num_threads,
-                    const ScenarioOptions& options) {
-  const ResilienceDurations d = Durations(options);
-  FleetSpec spec = BaseSpec(options);
-  spec.num_shards = num_shards;
-  spec.num_threads = num_threads;
-  spec.collect_trace = true;
-
-  // The published snapshot flips the push discipline, routing policy, τ,
-  // and probe cadence at once — a worst-case knob swap.
-  RuntimeConfig next = spec.lb.runtime();
-  next.dispatch.push_mode = PushMode::kBlind;
-  next.dispatch.probe_interval = Milliseconds(200);
-  next.routing.policy = RoutingPolicyKind::kConsistentHash;
-  next.routing.queue_tau = 8;
-  FleetConfigUpdate update;
-  update.at = d.warmup + d.measure / 2;
-  update.config = next;
-  spec.config_updates.push_back(update);
-
-  CellTrace trace;
-  trace.Arm(&spec, options);
-  FleetResult result = RunFleetExperiment(spec);
-  trace.Write(label, options,
-              {{"shards", std::to_string(num_shards)},
-               {"threads", std::to_string(num_threads)}});
-  MetricRow row = ResilienceRow(label, spec, result);
-  // Trace fingerprint: equal across the pair iff the full per-request
-  // outcome stream is byte-identical.
-  row.Set("trace_hash",
-          static_cast<double>(HashString(result.trace) & 0xFFFFFFFFull));
-  return row.Dim("cell", "reswap").Dim("shards", std::to_string(num_shards));
-}
-
 const MetricRow* FindRow(const std::vector<MetricRow>& rows,
                          const std::string& label) {
   for (const MetricRow& row : rows) {
@@ -304,13 +260,12 @@ const MetricRow* FindRow(const std::vector<MetricRow>& rows,
 Scenario MakeResilienceScenario() {
   Scenario scenario;
   scenario.name = "fig_resilience";
-  scenario.title = "Resilience: blackout, gray failure, flash crowd, reswap";
+  scenario.title = "Resilience: blackout, gray failure, flash crowd";
   scenario.description =
       "Hostile-scenario pack for the resilience control plane: a region "
       "blackout with recovery (lost-forever accounting), gray-failure "
-      "stragglers with latency ejection on vs off, a flash-crowd client "
-      "wave, and a mid-run RuntimeConfig reswap run at 1 and 4 shards for "
-      "bit-identity.";
+      "stragglers with latency ejection on vs off, and a flash-crowd client "
+      "wave.";
   scenario.metric_keys = StandardExperimentMetricKeys();
   for (const std::string& key : ResilienceMetricKeys()) {
     scenario.metric_keys.push_back(key);
@@ -337,13 +292,6 @@ Scenario MakeResilienceScenario() {
     plan.cells.push_back(ScenarioCell{"flash_crowd", [options] {
       return std::vector<MetricRow>{RunFlashCrowd("flash_crowd", options)};
     }});
-    plan.cells.push_back(ScenarioCell{"reswap", [options] {
-      return std::vector<MetricRow>{RunReswap("reswap", 1, 1, options)};
-    }});
-    plan.cells.push_back(ScenarioCell{"reswap_shards4", [options] {
-      return std::vector<MetricRow>{
-          RunReswap("reswap_shards4", 4, 8, options)};
-    }});
     plan.finalize = [](const std::vector<std::vector<MetricRow>>& cell_rows) {
       ScenarioReport report;
       for (const auto& rows : cell_rows) {
@@ -369,25 +317,11 @@ Scenario MakeResilienceScenario() {
             safe_div(*off->Find(metric_keys::kTtftP99),
                      *on->Find(metric_keys::kTtftP99)));
       }
-      const MetricRow* single = FindRow(report.rows, "reswap");
-      const MetricRow* sharded = FindRow(report.rows, "reswap_shards4");
-      double determinism_ok = 0.0;
-      if (single != nullptr && sharded != nullptr) {
-        determinism_ok = 1.0;
-        for (const auto& [key, value] : single->metrics) {
-          const double* other = sharded->Find(key);
-          if (other == nullptr || *other != value) {
-            determinism_ok = 0.0;
-          }
-        }
-      }
-      report.derived.emplace_back("reswap_determinism_ok", determinism_ok);
       report.notes.push_back(
           "blackout_zero_lost_ok = 1: with request timeouts + ejection on, "
           "no request is swallowed forever by the region blackout. "
           "gray_goodput_gain_x: goodput recovered by ejecting the 8x "
-          "stragglers. reswap_determinism_ok = 1: the mid-run config swap "
-          "is bit-identical across 1-shard and 4-shard/8-thread runs.");
+          "stragglers.");
       return report;
     };
     return plan;

@@ -148,7 +148,6 @@ const std::vector<std::string>& ResilienceMetricKeys() {
       metric_keys::kGoodputReqS, metric_keys::kLostForever,
       metric_keys::kMisrouted,   metric_keys::kEjections,
       metric_keys::kRecoveries,  metric_keys::kClientErrors,
-      metric_keys::kConfigSwaps,
   };
   return keys;
 }

@@ -134,7 +134,6 @@ inline constexpr const char* kMisrouted = "misrouted";
 inline constexpr const char* kEjections = "ejections";
 inline constexpr const char* kRecoveries = "recoveries";
 inline constexpr const char* kClientErrors = "client_errors";
-inline constexpr const char* kConfigSwaps = "config_swaps";
 }  // namespace metric_keys
 
 // The standard keys above, in canonical order (schema tests iterate this).

@@ -30,9 +30,6 @@ std::unique_ptr<Deployment> Deployment::Build(Simulator* sim, Network* net,
       lb->AttachReplica(replica.get());
       deployment->replicas_.push_back(std::move(replica));
     }
-    if (spec.config_store != nullptr) {
-      lb->SubscribeTo(spec.config_store);
-    }
     deployment->resolver_.AddFrontend(lb.get());
     deployment->controller_->ManageLb(lb.get());
     deployment->lbs_.push_back(std::move(lb));

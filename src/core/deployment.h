@@ -26,11 +26,6 @@ struct DeploymentSpec {
   ReplicaConfig replica_config;
   SkyWalkerConfig lb_config;
   ControllerConfig controller_config;
-  // Optional runtime-config store (ISSUE 7). When set, every LB subscribes
-  // at build time: the store's current snapshot overrides lb_config's
-  // mutable halves, and later PublishAt calls reswap knobs mid-run. Must
-  // outlive the deployment. Null = static configs, the seed behavior.
-  ConfigStore* config_store = nullptr;
 };
 
 class Deployment {

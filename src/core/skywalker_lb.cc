@@ -87,22 +87,6 @@ void SkyWalkerLb::Start() {
 
 void SkyWalkerLb::Stop() { engine_.Stop(); }
 
-void SkyWalkerLb::ApplyRuntimeConfig(const RuntimeConfig& config) {
-  config_.engine = config.dispatch;
-  config_.routing = config.routing;
-  engine_.ApplyConfig(config.dispatch);
-  config_version_ = config.version;
-  if (config.version > 0) {
-    ++config_swaps_;  // The version-0 initial snapshot is not a swap.
-  }
-}
-
-void SkyWalkerLb::SubscribeTo(ConfigStore* store) {
-  config_subscription_ = store->Subscribe(
-      sim_, region_,
-      [this](const RuntimeConfig& config) { ApplyRuntimeConfig(config); });
-}
-
 bool SkyWalkerLb::PeerAvailable(const PeerState& state) const {
   if (!state.peer->Serving()) {
     return false;
@@ -300,7 +284,7 @@ HeadAction SkyWalkerLb::OnUnplaced(Queued& head) {
     return HeadAction::kStall;  // Terminal here; wait for local capacity.
   }
   // Flap damping: offload only when local unavailability persists (see
-  // RoutingRuntimeConfig::forward_patience).
+  // RoutingConfig::forward_patience).
   if (sim_->now() - last_local_avail_ < config_.routing.forward_patience) {
     return HeadAction::kStall;
   }
@@ -421,7 +405,6 @@ SkyWalkerLb::Stats SkyWalkerLb::stats() const {
   stats.ejections = engine_.stats().ejections;
   stats.recoveries = engine_.stats().recoveries;
   stats.late_completions = engine_.stats().late_completions;
-  stats.config_swaps = config_swaps_;
   return stats;
 }
 

@@ -32,9 +32,8 @@
 //
 // Health (ISSUE 7): the LB is a HealthSource — the controller's failover
 // detection, DNS resolution, and peer availability all read Status()/
-// Serving() instead of private booleans. Mutable knobs live in the two
-// RuntimeConfig halves (engine + routing) and reswap mid-run via
-// ApplyRuntimeConfig / a ConfigStore subscription.
+// Serving() instead of private booleans. Every knob — engine and routing
+// alike — is fixed when the balancer is built.
 
 #ifndef SKYWALKER_CORE_SKYWALKER_LB_H_
 #define SKYWALKER_CORE_SKYWALKER_LB_H_
@@ -48,7 +47,6 @@
 #include "src/cache/routing_trie.h"
 #include "src/common/histogram.h"
 #include "src/common/sim_time.h"
-#include "src/core/runtime_config.h"
 #include "src/net/network.h"
 #include "src/replica/replica.h"
 #include "src/routing/dispatch_engine.h"
@@ -66,31 +64,65 @@ inline DispatchConfig SkyWalkerEngineDefaults() {
   return config;
 }
 
-struct SkyWalkerConfig {
-  // The two mutable halves of a RuntimeConfig snapshot (ISSUE 7): every
-  // knob here can reswap mid-run through ApplyRuntimeConfig.
-  DispatchConfig engine = SkyWalkerEngineDefaults();
-  RoutingRuntimeConfig routing;
+enum class RoutingPolicyKind {
+  kConsistentHash,  // SkyWalker-CH
+  kPrefixTree,      // SkyWalker
+};
 
-  // --- structurally static knobs (fixed at construction) ---
+// The cross-region routing knobs of SkyWalkerLb.
+struct RoutingConfig {
+  RoutingPolicyKind policy = RoutingPolicyKind::kPrefixTree;
+
+  // τ: small queue buffer for newly arriving requests (Listing 1, line 12).
+  size_t queue_tau = 4;
+
+  // A region advertises itself as overloaded (and refuses inbound offloads)
+  // when the EWMA of its available-replica fraction falls below this.
+  // Point-in-time probe snapshots flap at saturation; the EWMA separates
+  // "briefly busy" from "no real headroom".
+  double overload_avail_ewma_threshold = 0.25;
+
+  // Flap damping: forward only after local replicas have been continuously
+  // unavailable for this long. Saturated replicas flap between full and
+  // momentarily-free at probe granularity; offloading on every flap migrates
+  // conversations back and forth, and each migration re-prefills the whole
+  // context in the other region. Persistent overload (the case offloading
+  // is for) easily exceeds this window.
+  SimDuration forward_patience = Milliseconds(250);
+
+  // kPrefixTree: when the regional snapshot shows at least this fraction of
+  // the prompt is cached at an available peer, the request stays with that
+  // peer even if local replicas are free. Without stickiness an offloaded
+  // conversation migrates home on the next availability flap and re-prefills
+  // its entire context in both regions, turn after turn.
+  double remote_affinity_threshold = 0.5;
+
+  // kPrefixTree: below this prompt hit ratio, prefer under-utilized
+  // replicas over prefix affinity (§5.1 "explores other replicas").
+  double explore_threshold = 0.5;
+
+  // Enables cross-region forwarding. Disabling yields the Region-Local
+  // deployment baseline of Fig. 10.
+  bool enable_forwarding = true;
+
+  // §7 extension ("more advanced policies"): prompts shorter than this skip
+  // prefix matching and go to the least-loaded available replica — short
+  // prompts have little prefill to save, so balancing load is worth more
+  // than cache affinity. 0 disables the heuristic.
+  int64_t short_prompt_threshold = 0;
+};
+
+struct SkyWalkerConfig {
+  DispatchConfig engine = SkyWalkerEngineDefaults();
+  RoutingConfig routing;
+
   int64_t replica_trie_capacity = 4'000'000;
   int64_t snapshot_trie_capacity = 4'000'000;
   int ring_vnodes = 128;
 
   // Optional constraint on forwarding pairs (GDPR, §7). Null allows all.
-  // A predicate, not a value — stays out of the serializable snapshot.
   std::function<bool(RegionId from, RegionId to)> forward_allowed;
-
-  // The initial snapshot a deployment seeds its ConfigStore with.
-  RuntimeConfig runtime() const {
-    RuntimeConfig config;
-    config.dispatch = engine;
-    config.routing = routing;
-    return config;
-  }
 };
-
-class ConfigStore;
 
 class SkyWalkerLb : public Frontend,
                     public HealthSource,
@@ -111,7 +143,6 @@ class SkyWalkerLb : public Frontend,
     int64_t ejections = 0;
     int64_t recoveries = 0;
     int64_t late_completions = 0;
-    int64_t config_swaps = 0;  // Mid-run RuntimeConfig applications.
   };
 
   SkyWalkerLb(Simulator* sim, Network* net, LbId id, RegionId region,
@@ -143,17 +174,6 @@ class SkyWalkerLb : public Frontend,
   void HandleForwarded(Request req, RequestCallbacks callbacks,
                        RegionId origin_lb_region);
 
-  // --- runtime config (ISSUE 7) ---
-  // Adopts a new snapshot: engine knobs swap via DispatchEngine::ApplyConfig
-  // (probe loop re-arms as needed), routing knobs take effect on the next
-  // decision that reads them. Structural state (tries, rings, peers,
-  // queue, outstanding counts) carries over untouched.
-  void ApplyRuntimeConfig(const RuntimeConfig& config);
-  // Watches `store`: applies its current snapshot now (synchronously) and
-  // every published update at its publish time. The subscription lives as
-  // long as this LB (or until the store dies with the deployment).
-  void SubscribeTo(ConfigStore* store);
-
   // --- peer-visible probe state (PROBELB in Listing 1) ---
   int AvailableReplicaCount() const;
   size_t QueueSize() const { return engine_.queue_size(); }
@@ -176,7 +196,6 @@ class SkyWalkerLb : public Frontend,
   Stats stats() const;
   size_t num_replicas() const { return engine_.num_replicas(); }
   size_t num_peers() const { return peers_.size(); }
-  int64_t config_version() const { return config_version_; }
 
   // Engine health introspection (tests, scenario assertions).
   const DispatchEngine& engine() const { return engine_; }
@@ -224,8 +243,6 @@ class SkyWalkerLb : public Frontend,
   RegionId region_;
   SkyWalkerConfig config_;
   HealthStatus status_ = HealthStatus::kHealthy;
-  int64_t config_version_ = 0;
-  int64_t config_swaps_ = 0;
 
   std::map<LbId, PeerState> peers_;
 
@@ -235,7 +252,6 @@ class SkyWalkerLb : public Frontend,
   RoutingTrie snapshot_trie_;
 
   DispatchEngine engine_;
-  ConfigSubscription config_subscription_;
 
   // Cross-region stat counters (engine counts the local-placement half).
   int64_t received_client_ = 0;

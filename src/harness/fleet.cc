@@ -172,8 +172,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
       std::any_of(spec.faults.begin(), spec.faults.end(), IsLbFault);
   SKYWALKER_CHECK(spec.num_shards <= 0 || (skywalker && !lb_faults))
       << "sharded fleets run SkyWalker without LB fail/recover faults";
-  SKYWALKER_CHECK(skywalker || (!lb_faults && spec.config_updates.empty()))
-      << "LB faults and config updates need SkyWalker LBs";
+  SKYWALKER_CHECK(skywalker || !lb_faults) << "LB faults need SkyWalker LBs";
 
   // --- simulation substrate: plain reference or sharded ---
   std::unique_ptr<Simulator> plain_sim;
@@ -195,7 +194,6 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   }
 
   // --- serving system: SkyWalker deployment or a baseline ---
-  std::unique_ptr<ConfigStore> config_store;
   std::unique_ptr<Deployment> deployment;
   BaselineSystem baseline;
   if (skywalker) {
@@ -204,20 +202,9 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     dspec.replica_config = spec.replica_config;
     dspec.lb_config = spec.lb;
     dspec.controller_config = spec.controller;
-    // Runtime-config store, created only when something will be published
-    // (subscription delivery alone must not perturb the static fast path).
-    if (!spec.config_updates.empty()) {
-      config_store = std::make_unique<ConfigStore>(spec.lb.runtime());
-      dspec.config_store = config_store.get();
-    }
     Simulator* controller_sim =
         net->SimForRegion(dspec.controller_config.home_region);
     deployment = Deployment::Build(controller_sim, net.get(), dspec);
-    // Setup-time publishes (after Build so every LB is subscribed; see the
-    // determinism contract in src/core/runtime_config.h).
-    for (const FleetConfigUpdate& update : spec.config_updates) {
-      config_store->PublishAt(update.at, update.config);
-    }
   } else {
     baseline = BuildBaseline(spec, net.get());
   }
@@ -466,7 +453,6 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
       result.ejections += lb_stats.ejections;
       result.recoveries += lb_stats.recoveries;
       result.late_completions += lb_stats.late_completions;
-      result.config_swaps += lb_stats.config_swaps;
     }
     result.failovers = deployment->controller()->stats().failovers_handled;
   }

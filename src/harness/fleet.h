@@ -71,13 +71,6 @@ struct FleetFault {
   double factor = 1.0;  // kReplicaSlowdown only.
 };
 
-// A RuntimeConfig snapshot published mid-run through the deployment's
-// ConfigStore (created on demand when any update is present).
-struct FleetConfigUpdate {
-  SimTime at = 0;
-  RuntimeConfig config;
-};
-
 // An extra client cohort arriving mid-run (flash crowd / diurnal shift).
 struct FleetClientWave {
   RegionId region = 0;
@@ -111,7 +104,6 @@ struct FleetSpec {
 
   // Resilience hooks (all empty by default — the seed fast path).
   std::vector<FleetFault> faults;
-  std::vector<FleetConfigUpdate> config_updates;
   std::vector<FleetClientWave> client_waves;
 
   // Further client cohorts (per-region counts, ToT and Mixed-Tree groups,
@@ -177,7 +169,6 @@ struct FleetResult {
   int64_t ejections = 0;
   int64_t recoveries = 0;
   int64_t late_completions = 0;
-  int64_t config_swaps = 0;
   int64_t failovers = 0;  // Controller failovers handled.
 
   // Wall-clock telemetry (nondeterministic; BENCH_TIMING.json only).

@@ -198,9 +198,6 @@ void BuildMetricsFromTrace(const std::vector<TraceRecord>& records,
       case TraceEventType::kRecover:
         registry->GetCounter("recoveries", ReplicaTags(r))->Add();
         break;
-      case TraceEventType::kConfigSwap:
-        registry->GetCounter("config_swaps", RegionTags(r))->Add();
-        break;
       default:
         break;
     }

@@ -38,7 +38,6 @@ const char* TraceEventTypeName(TraceEventType type) {
     case TraceEventType::kProbe: return "probe";
     case TraceEventType::kEject: return "eject";
     case TraceEventType::kRecover: return "recover";
-    case TraceEventType::kConfigSwap: return "config_swap";
   }
   return "unknown";
 }

@@ -5,7 +5,7 @@
 // per-candidate scores) -> forward -> enqueue -> admit -> prefill chunks ->
 // first token -> preempt/swap/restore -> complete|timeout, plus the
 // replica-level engine-step / memory-sample stream and the control-plane
-// events (ejection, recovery, config reswap). It never schedules events,
+// events (ejection, recovery). It never schedules events,
 // never reads RNG state, and never mutates actor state — tracing observes,
 // it cannot perturb: a traced run's metrics are byte-identical to an
 // untraced run's, which tests/trace_determinism_test.cc pins.
@@ -75,7 +75,7 @@ enum class TraceEventType : uint16_t {
   kProbe = 23,          // probe response landed. a=version, b=pending, x=ewma_us_per_token.
   kEject = 24,          // health machine ejected replica. a=reason(0 failures/1 latency).
   kRecover = 25,        // half-open recovery confirmed.
-  kConfigSwap = 26,     // engine ApplyConfig. a=push_mode.
+  // 26 is retired: never reuse it, the binary trace format stores the id.
 };
 
 // Human-readable name ("submit", "route_decision", ...) for exporters.

@@ -117,16 +117,12 @@ const ReplicaState* DispatchEngine::FindReplica(ReplicaId id) const {
 }
 
 void DispatchEngine::Start() {
-  started_ = true;
   if (ProbeLoopNeeded()) {
     probe_task_->StartWithDelay(0);
   }
 }
 
-void DispatchEngine::Stop() {
-  started_ = false;
-  probe_task_->Stop();
-}
+void DispatchEngine::Stop() { probe_task_->Stop(); }
 
 void DispatchEngine::ResetProbeState() {
   for (ReplicaState& state : replicas_) {
@@ -136,31 +132,6 @@ void DispatchEngine::ResetProbeState() {
     state.latency_samples_at_ejection = 0;
   }
   RebuildSelectionIndex();
-}
-
-void DispatchEngine::ApplyConfig(const DispatchConfig& next) {
-  config_ = next;
-  verify_selection_ = config_.verify_selection;
-  if (Tracer* t = sim_->tracer()) {
-    EmitTrace(t, sim_->now(), TraceEventType::kConfigSwap, region_,
-              kInvalidReplica, -1, static_cast<int64_t>(config_.push_mode));
-  }
-  // The probe task picks the new interval up at its next reschedule; the
-  // loop itself starts or stops with the need for one (a kBlind engine
-  // gaining outlier detection must begin probing for liveness).
-  probe_task_->set_interval(config_.probe_interval);
-  if (started_) {
-    if (ProbeLoopNeeded() && !probe_task_->running()) {
-      probe_task_->StartWithDelay(0);
-    } else if (!ProbeLoopNeeded() && probe_task_->running()) {
-      probe_task_->Stop();
-    }
-  }
-  // Config participates in every availability/load computation, so the
-  // whole index is stale after a swap.
-  RebuildSelectionIndex();
-  // Availability may have widened (e.g. push slack raised, gate lowered).
-  TryDispatch();
 }
 
 double DispatchEngine::EffectiveLoadOf(const ReplicaState& state) const {

@@ -41,7 +41,7 @@
 // Selection is indexed (ISSUE 10): the engine maintains a gen-stamped lazy
 // min-heap over (EffectiveLoad, position) plus incremental available/ejected
 // counters, refreshed at every state mutation point (dispatch, completion,
-// probe response, health transition, config swap). LeastLoadedAvailable,
+// probe response, health transition, probe reset). LeastLoadedAvailable,
 // AnyAvailable, AvailableCount, and EjectedCount are O(log R) amortized /
 // O(1) instead of O(R) scans, with tie-breaking fixed to the lowest replica
 // position so decisions are provably identical to the retained linear scan
@@ -75,9 +75,8 @@ enum class PushMode {
 };
 
 // Engine knobs shared by every balancer; policy-specific knobs stay in the
-// owning stack's config (LbConfig / SkyWalkerConfig). This struct is the
-// `dispatch` half of a RuntimeConfig snapshot (src/core/runtime_config.h)
-// and can be swapped mid-run via DispatchEngine::ApplyConfig.
+// owning stack's config (LbConfig / SkyWalkerConfig). Fixed when the engine
+// is built: no knob here changes mid-run.
 struct DispatchConfig {
   PushMode push_mode = PushMode::kBlind;
 
@@ -296,12 +295,6 @@ class DispatchEngine {
   // re-establishes availability (LB recovery).
   void ResetProbeState();
 
-  // --- runtime config (DESIGN.md §10) ---
-  // Swaps the engine onto a new knob snapshot mid-run: push mode, probe
-  // interval (takes effect at the next tick), slack, gates, and the outlier
-  // machinery can all change without dropping queue or replica state.
-  void ApplyConfig(const DispatchConfig& next);
-
   // --- request path ---
   // Admits a request into the FCFS queue (stamping its arrival time) and
   // dispatches as far as possible.
@@ -437,7 +430,6 @@ class DispatchEngine {
 
   std::deque<Queued> queue_;
   std::unique_ptr<PeriodicTask> probe_task_;
-  bool started_ = false;
   Stats stats_;
 
   // Selection index (ISSUE 10). The heap is mutable because const queries

@@ -144,9 +144,6 @@ class PeriodicTask {
   void Stop();
   bool running() const { return running_; }
 
-  SimDuration interval() const { return interval_; }
-  void set_interval(SimDuration interval) { interval_ = interval; }
-
  private:
   void Tick();
 

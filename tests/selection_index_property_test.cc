@@ -2,8 +2,7 @@
 // gen-stamped lazy min-heap behind DispatchEngine::LeastLoadedAvailable must
 // return the identical ReplicaId as the retained linear-scan oracle at every
 // decision point, whatever interleaving of load mutations, probe payload
-// updates, health transitions, attach/detach churn, and config reswaps got
-// the fleet there.
+// updates, health transitions, and attach/detach churn got the fleet there.
 //
 // Two layers:
 //   1. Randomized single-engine traces: every mutation class the production
@@ -15,8 +14,8 @@
 //   2. Full fleet runs with DispatchConfig::verify_selection, which makes
 //      every production LeastLoadedAvailable call SKYWALKER_CHECK against
 //      the oracle inside real traffic — probes, admissions, completions,
-//      ejections, mid-run config reswaps — across {1,4} shards x {1,8}
-//      threads, plus trace bit-identity against the plain reference.
+//      ejections — across {1,4} shards x {1,8} threads, plus trace
+//      bit-identity against the plain reference.
 
 #include <gtest/gtest.h>
 
@@ -192,21 +191,15 @@ TEST(SelectionIndexPropertyTest, MatchesLinearOracleUnderRandomTraces) {
       const int steps = 400;
       for (int step = 0; step < steps; ++step) {
         const int64_t op = rng.UniformInt(0, 99);
-        if (op < 80) {
+        if (op < 86) {
           MutateOne(rng, fleet);
-        } else if (op < 88) {
+        } else if (op < 94) {
           // Batched probe fan-out shape: several mutations, one refresh.
           const int64_t burst = rng.UniformInt(2, 6);
           for (int64_t i = 0; i < burst; ++i) {
             MutateOne(rng, fleet);
           }
           fleet.engine->RefreshSelectionIndex();
-        } else if (op < 94) {
-          // Mid-run config reswap: availability predicate and load scoring
-          // both change under the index.
-          DispatchConfig next = RandomConfig(rng);
-          next.verify_selection = true;
-          fleet.engine->ApplyConfig(next);
         } else if (op < 97 && fleet.attached.size() > 1) {
           // Registry churn: detach swap-removes a position, invalidating
           // every stamp; attach rebuilds.
@@ -269,15 +262,6 @@ FleetSpec VerifiedFleet() {
   recover.kind = FleetFault::kReplicaRecover;
   recover.at = Seconds(5);
   spec.faults.push_back(recover);
-
-  // Mid-run reswap (keeps verification on): push mode and slack change
-  // under live queues, forcing a full index rebuild while requests flow.
-  FleetConfigUpdate update;
-  update.at = Seconds(4);
-  update.config.dispatch = spec.lb.engine;
-  update.config.dispatch.push_mode = PushMode::kSelectiveOutstanding;
-  update.config.dispatch.max_outstanding_per_replica = 6;
-  spec.config_updates.push_back(update);
   return spec;
 }
 
