@@ -7,80 +7,22 @@
 // without a single heap allocation: slots and heap capacity are recycled,
 // and small callbacks live inline in InlineFunction.
 //
-// Allocations are counted with a global operator new/delete replacement
-// (standard-sanctioned, and composes with ASan, which intercepts the
-// underlying malloc). Counters are only *asserted* inside windows the test
-// controls, so gtest's own allocations don't interfere.
+// Allocations are counted with the global operator new/delete replacement
+// in tests/counting_new.h.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "src/common/inline_function.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
-
-// GCC's inliner pierces the replaced operators and then flags the
-// malloc/free pairing inside them as mismatched new/delete — a false
-// positive for allocation-function replacements, which the standard requires
-// to be callable this way. Keep them out of line and mute the warning.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#define SKYWALKER_NOINLINE __attribute__((noinline))
-#else
-#define SKYWALKER_NOINLINE
-#endif
-
-namespace {
-std::atomic<long long> g_news{0};
-std::atomic<long long> g_deletes{0};
-}  // namespace
-
-SKYWALKER_NOINLINE void* operator new(size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size) { return ::operator new(size); }
-SKYWALKER_NOINLINE void* operator new(size_t size, std::align_val_t align) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<size_t>(align),
-                               (size + static_cast<size_t>(align) - 1) &
-                                   ~(static_cast<size_t>(align) - 1));
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-SKYWALKER_NOINLINE void operator delete(void* p) noexcept {
-  g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p) noexcept { ::operator delete(p); }
-SKYWALKER_NOINLINE void operator delete(void* p, size_t) noexcept { ::operator delete(p); }
-SKYWALKER_NOINLINE void operator delete[](void* p, size_t) noexcept { ::operator delete(p); }
-SKYWALKER_NOINLINE void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+#include "tests/counting_new.h"
 
 namespace skywalker {
 namespace {
 
 constexpr size_t kBacklog = 1'000'000;
-
-long long NewCount() { return g_news.load(std::memory_order_relaxed); }
 
 // Deterministic pseudo-times: spread pushes across a wide range so heap
 // sifts exercise real depths.

@@ -4,87 +4,22 @@
 // The block free list, sequence-slot free list, and block-table vectors all
 // recycle: once warmed to a high-water mark, admit/prefill/decode/release
 // churn and fork/free storms must not touch the heap. Allocations are
-// counted with a global operator new/delete replacement (standard-
-// sanctioned, composes with ASan); counters are only asserted inside
-// windows the test controls.
+// counted with the global operator new/delete replacement in
+// tests/counting_new.h.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <vector>
 
 #include "src/cache/prefix_cache.h"
 #include "src/memory/block_allocator.h"
 #include "src/memory/block_table.h"
 #include "src/memory/kv_controller.h"
-
-// GCC's inliner pierces the replaced operators and then flags the
-// malloc/free pairing inside them as mismatched new/delete — a false
-// positive for allocation-function replacements, which the standard requires
-// to be callable this way. Keep them out of line and mute the warning.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#define SKYWALKER_NOINLINE __attribute__((noinline))
-#else
-#define SKYWALKER_NOINLINE
-#endif
-
-namespace {
-std::atomic<long long> g_news{0};
-}  // namespace
-
-SKYWALKER_NOINLINE void* operator new(size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size) { return ::operator new(size); }
-SKYWALKER_NOINLINE void* operator new(size_t size, std::align_val_t align) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<size_t>(align),
-                               (size + static_cast<size_t>(align) - 1) &
-                                   ~(static_cast<size_t>(align) - 1));
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-SKYWALKER_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
-SKYWALKER_NOINLINE void operator delete[](void* p) noexcept { ::operator delete(p); }
-SKYWALKER_NOINLINE void operator delete(void* p, size_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, size_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete(void* p, size_t,
-                                        std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, size_t,
-                                          std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+#include "tests/counting_new.h"
 
 namespace skywalker {
 namespace {
-
-long long NewCount() { return g_news.load(std::memory_order_relaxed); }
 
 TEST(KvMemoryAllocTest, BlockFreeListSteadyStateDoesNotAllocate) {
   constexpr int32_t kBs = 16;

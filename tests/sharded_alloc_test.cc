@@ -7,84 +7,20 @@
 // hundreds more windows of cross-shard traffic performs ZERO heap
 // allocations.
 //
-// Same global operator new/delete counting as event_queue_alloc_test.cc:
-// standard-sanctioned replacement, counters only asserted inside windows the
-// test controls.
+// Allocations are counted with the global operator new/delete replacement
+// in tests/counting_new.h.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 
 #include "src/net/network.h"
 #include "src/net/topology.h"
 #include "src/sim/sharded_simulator.h"
-
-// GCC's inliner pierces the replaced operators and then flags the
-// malloc/free pairing inside them as mismatched new/delete — a false
-// positive for allocation-function replacements, which the standard requires
-// to be callable this way. Keep them out of line and mute the warning.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#define SKYWALKER_NOINLINE __attribute__((noinline))
-#else
-#define SKYWALKER_NOINLINE
-#endif
-
-namespace {
-std::atomic<long long> g_news{0};
-std::atomic<long long> g_deletes{0};
-}  // namespace
-
-SKYWALKER_NOINLINE void* operator new(size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size) {
-  return ::operator new(size);
-}
-SKYWALKER_NOINLINE void* operator new(size_t size, std::align_val_t align) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<size_t>(align),
-                               (size + static_cast<size_t>(align) - 1) &
-                                   ~(static_cast<size_t>(align) - 1));
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-SKYWALKER_NOINLINE void operator delete(void* p) noexcept {
-  g_deletes.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete(void* p, size_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, size_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+#include "tests/counting_new.h"
 
 namespace skywalker {
 namespace {
-
-long long NewCount() { return g_news.load(std::memory_order_relaxed); }
 
 // Perpetual cross-region relays: every hop executes on the destination
 // region's shard and immediately sends onward, so every window moves mail

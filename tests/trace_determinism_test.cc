@@ -9,77 +9,20 @@
 //      merged by the keyed (time, region, per-region seq) order.
 //   3. A capped tracer's steady state allocates nothing: once a ring reaches
 //      its slab cap, drop-oldest recycles slab storage instead of growing.
-//      (Counted with a global operator new replacement, the
-//      tests/event_queue_alloc_test.cc idiom.)
+//      (Counted with the operator new replacement in
+//      tests/counting_new.h.)
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "src/harness/fleet.h"
 #include "src/obs/trace.h"
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#define SKYWALKER_NOINLINE __attribute__((noinline))
-#else
-#define SKYWALKER_NOINLINE
-#endif
-
-namespace {
-std::atomic<long long> g_news{0};
-}  // namespace
-
-SKYWALKER_NOINLINE void* operator new(size_t size) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size) {
-  return ::operator new(size);
-}
-SKYWALKER_NOINLINE void* operator new(size_t size, std::align_val_t align) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<size_t>(align),
-                               (size + static_cast<size_t>(align) - 1) &
-                                   ~(static_cast<size_t>(align) - 1));
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-SKYWALKER_NOINLINE void* operator new[](size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-SKYWALKER_NOINLINE void operator delete(void* p) noexcept { std::free(p); }
-SKYWALKER_NOINLINE void operator delete[](void* p) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete(void* p, size_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p, size_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete(void* p, std::align_val_t) noexcept {
-  ::operator delete(p);
-}
-SKYWALKER_NOINLINE void operator delete[](void* p,
-                                          std::align_val_t) noexcept {
-  ::operator delete(p);
-}
+#include "tests/counting_new.h"
 
 namespace skywalker {
 namespace {
-
-long long NewCount() { return g_news.load(std::memory_order_relaxed); }
 
 constexpr int kRegions = 4;
 
