@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-
 #include "src/harness/fleet.h"
 
 namespace skywalker {
