@@ -207,15 +207,7 @@ double ServeWith(
     replicas[static_cast<size_t>(target)]->Enqueue(std::move(req), {});
   }
   sim.Run();
-  int64_t hits = 0;
-  int64_t lookups = 0;
-  for (const auto& replica : replicas) {
-    hits += replica->cache().hit_tokens();
-    lookups += replica->cache().lookup_tokens();
-  }
-  return lookups == 0
-             ? 0.0
-             : static_cast<double>(hits) / static_cast<double>(lookups);
+  return AggregateCacheHitRate(replicas);
 }
 
 double RunConsistentHash(const AdversarialTrace& trace) {

@@ -112,16 +112,16 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   for (int i = 0; i < kReplicas; ++i) {
     replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
   }
-  LbConfig config;
-  config.engine.push_mode = mc.mode;
-  config.engine.max_outstanding_per_replica = 24;
-  config.engine.push_slack = 32;
+  DispatchConfig config;
+  config.push_mode = mc.mode;
+  config.max_outstanding_per_replica = 24;
+  config.push_slack = 32;
   if (mc.mode == PushMode::kSelectivePending) {
     // Free-block-aware routing: skip replicas whose probed admissible-block
     // fraction fell below 1% — i.e. replicas genuinely out of pages, not
     // merely packed to the watermark (kBlind never probes, so the gate only
     // binds for the selective cells).
-    config.engine.min_free_block_fraction = 0.01;
+    config.min_free_block_fraction = 0.01;
   }
   SglRouterLb lb(&sim, &net, 0, 0, config);
   for (auto& replica : replicas) {
@@ -205,15 +205,11 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   row.Set(metric_keys::kE2eP50, e2e.empty() ? 0.0 : e2e.Percentile(50));
   row.Set(metric_keys::kE2eP90, e2e.empty() ? 0.0 : e2e.Percentile(90));
   row.Set(metric_keys::kE2eP99, e2e.empty() ? 0.0 : e2e.Percentile(99));
-  int64_t hits = 0;
-  int64_t lookups = 0;
   int64_t cache_blocks = 0;
   int64_t evictable_blocks = 0;
   int64_t seq_blocks = 0;
   KvCounters kv;
   for (auto& replica : replicas) {
-    hits += replica->cache().hit_tokens();
-    lookups += replica->cache().lookup_tokens();
     kv += replica->kv().counters();
     // Exact end-of-run occupancy from the unified ledger (ISSUE 5).
     Replica::LoadSnapshot snap = replica->Snapshot();
@@ -221,10 +217,7 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
     evictable_blocks += snap.evictable_blocks;
     seq_blocks += replica->kv().seq_block_refs();
   }
-  row.Set(metric_keys::kCacheHitRate,
-          lookups == 0
-              ? 0.0
-              : static_cast<double>(hits) / static_cast<double>(lookups));
+  row.Set(metric_keys::kCacheHitRate, AggregateCacheHitRate(replicas));
   row.Set(metric_keys::kCompleted,
           static_cast<double>(metrics.CountInWindow()));
   SetKvMetrics(row, kv, kReplicas * rconfig.kv_capacity_tokens);

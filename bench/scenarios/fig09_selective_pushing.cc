@@ -53,13 +53,13 @@ MetricRow RunPushMode(PushMode mode, const std::string& label,
   for (int i = 0; i < kReplicas; ++i) {
     replicas.push_back(std::make_unique<Replica>(&sim, i, 0, rconfig));
   }
-  LbConfig config;
-  config.engine.push_mode = mode;
-  config.engine.max_outstanding_per_replica = 24;  // SP-O's fixed threshold.
+  DispatchConfig config;
+  config.push_mode = mode;
+  config.max_outstanding_per_replica = 24;  // SP-O's fixed threshold.
   // Burst bound: big enough to fill a freed batch within one probe window,
   // small enough that pushes between probes cannot blow past the replica's
   // memory (the balance SP-P relies on).
-  config.engine.push_slack = 32;
+  config.push_slack = 32;
   SglRouterLb lb(&sim, &net, 0, 0, config);
   for (auto& replica : replicas) {
     lb.AttachReplica(replica.get());
@@ -113,16 +113,7 @@ MetricRow RunPushMode(PushMode mode, const std::string& label,
   row.Set(metric_keys::kE2eP50, e2e.empty() ? 0.0 : e2e.Percentile(50));
   row.Set(metric_keys::kE2eP90, e2e.empty() ? 0.0 : e2e.Percentile(90));
   row.Set(metric_keys::kE2eP99, e2e.empty() ? 0.0 : e2e.Percentile(99));
-  int64_t hits = 0;
-  int64_t lookups = 0;
-  for (auto& replica : replicas) {
-    hits += replica->cache().hit_tokens();
-    lookups += replica->cache().lookup_tokens();
-  }
-  row.Set(metric_keys::kCacheHitRate,
-          lookups == 0
-              ? 0.0
-              : static_cast<double>(hits) / static_cast<double>(lookups));
+  row.Set(metric_keys::kCacheHitRate, AggregateCacheHitRate(replicas));
   row.Set(metric_keys::kForwardRate, 0.0);  // Single region.
   row.Set(metric_keys::kCompleted,
           static_cast<double>(metrics.CountInWindow()));

@@ -82,9 +82,6 @@ OutlierConfig ResilienceOn(const ScenarioOptions& options) {
   OutlierConfig outlier;
   outlier.enabled = true;
   outlier.request_timeout = RequestTimeout(options);
-  outlier.probe_timeout = Seconds(1);
-  outlier.consecutive_failures = 3;
-  outlier.latency_factor = 3.0;
   // Long enough that a latency-ejected straggler doesn't cycle through
   // half-open recovery (capturing one slow victim per cycle) many times
   // within the measure window.
@@ -202,7 +199,7 @@ MetricRow RunGray(const std::string& label, bool ejection,
   // looking periodically attractive to load-aware routing (capturing fresh
   // victims all window) and its decode-latency EWMA accrues the samples the
   // detector needs within the first ~15 s. The per-region median stays
-  // healthy (1 straggler out of 4), so 8x trips latency_factor = 3.
+  // healthy (1 straggler out of 4), so 8x trips the 3x latency factor.
   for (RegionId region = 0; region < kRegions; ++region) {
     FleetFault slow;
     slow.kind = FleetFault::kReplicaSlowdown;

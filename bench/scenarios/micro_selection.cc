@@ -107,7 +107,7 @@ struct SelectionBench {
       } else if (i % 7 == 3) {
         // One failure below the ejection threshold: degraded, still
         // routable, load-deprioritized.
-        rs->health.RecordFailure(outlier);
+        rs->health.RecordFailure();
       }
     }
     engine->RefreshSelectionIndex();

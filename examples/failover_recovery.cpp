@@ -20,7 +20,6 @@ int main() {
 
   DeploymentSpec spec;
   spec.replicas_per_region = {2, 2, 2};
-  spec.controller_config.health_probe_interval = Milliseconds(500);
   spec.controller_config.auto_recovery_delay = 0;  // Manual recovery below.
   auto deployment = Deployment::Build(&sim, &net, spec);
   deployment->Start();

@@ -27,11 +27,6 @@ inline uint64_t HashString(std::string_view s, uint64_t seed = 0) {
   return HashBytes(s.data(), s.size(), seed);
 }
 
-// Order-dependent combination of two hashes.
-constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return Mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
-}
-
 }  // namespace skywalker
 
 #endif  // SKYWALKER_COMMON_HASH_H_

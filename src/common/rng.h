@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace skywalker {
@@ -52,9 +51,6 @@ class Rng {
   // lengths (matches the long-tail CDF in Fig. 4a of the paper).
   double LogNormal(double mu, double sigma);
 
-  // Pareto with scale x_m and shape alpha (> 0).
-  double Pareto(double x_m, double alpha);
-
   // Geometric number of trials until first success (>= 1), success prob p.
   int64_t Geometric(double p);
 
@@ -68,16 +64,6 @@ class Rng {
   // Samples an index in [0, weights.size()) proportionally to weights.
   // Requires a non-empty vector with a positive sum.
   size_t WeightedIndex(const std::vector<double>& weights);
-
-  // Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   uint64_t s_[4];

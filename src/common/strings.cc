@@ -46,10 +46,6 @@ std::vector<std::string> StrSplit(std::string_view s, char delim) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 size_t EditDistance(std::string_view a, std::string_view b) {
   // Single-row dynamic program; inputs here are CLI-scenario-name sized.
   std::vector<size_t> row(b.size() + 1);

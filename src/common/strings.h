@@ -19,8 +19,6 @@ std::string StrJoin(const std::vector<std::string>& parts, std::string_view sep)
 // Splits on a single-character delimiter; keeps empty fields.
 std::vector<std::string> StrSplit(std::string_view s, char delim);
 
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 // Levenshtein edit distance (insert/delete/substitute, all cost 1).
 size_t EditDistance(std::string_view a, std::string_view b);
 

@@ -6,11 +6,18 @@
 
 namespace skywalker {
 
+namespace {
+
+// Period of the controller's LB health probes (failover detection lag).
+constexpr SimDuration kHealthProbeInterval = Milliseconds(500);
+
+}  // namespace
+
 Controller::Controller(Simulator* sim, Network* net,
                        const ControllerConfig& config)
     : sim_(sim), net_(net), config_(config) {
   probe_task_ = std::make_unique<PeriodicTask>(
-      sim_, config_.health_probe_interval, [this] { ProbeHealth(); });
+      sim_, kHealthProbeInterval, [this] { ProbeHealth(); });
 }
 
 Controller::~Controller() = default;
@@ -23,21 +30,11 @@ void Controller::ManageLb(SkyWalkerLb* lb) {
 
 void Controller::Start() {
   // Keyed-ordering scope for the probe loop (no-op in plain mode).
-  sim_->SetCurrentRegion(config_.home_region);
+  sim_->SetCurrentRegion(kControllerRegion);
   probe_task_->StartWithDelay(0);
 }
 
 void Controller::Stop() { probe_task_->Stop(); }
-
-void Controller::AddReplica(SkyWalkerLb* lb, Replica* replica) {
-  lb->AttachReplica(replica);
-}
-
-void Controller::RemoveReplica(ReplicaId replica_id) {
-  for (auto& [lbid, entry] : lbs_) {
-    entry.lb->DetachReplica(replica_id);
-  }
-}
 
 bool Controller::IsFailedOver(LbId lb_id) const {
   auto it = lbs_.find(lb_id);

@@ -4,9 +4,6 @@
 // which temporarily treats them as local replicas; once the failed LB
 // recovers, the replicas transfer back. Multiple concurrent LB failures are
 // tolerated.
-//
-// The controller also supports elastic replica management (AddReplica /
-// RemoveReplica), used by deployment reconfiguration tests.
 
 #ifndef SKYWALKER_CORE_CONTROLLER_H_
 #define SKYWALKER_CORE_CONTROLLER_H_
@@ -21,14 +18,14 @@
 
 namespace skywalker {
 
+// Region the controller's own events (health-probe loop) are keyed to in
+// sharded mode; the controller lives on that region's shard.
+inline constexpr RegionId kControllerRegion = 0;
+
 struct ControllerConfig {
-  SimDuration health_probe_interval = Milliseconds(500);
   // Simulated time to restore a failed LB. <= 0 disables auto-recovery
   // (tests then call RecoverLb explicitly).
   SimDuration auto_recovery_delay = Seconds(30);
-  // Region the controller's own events (health-probe loop) are keyed to in
-  // sharded mode; the controller lives on that region's shard.
-  RegionId home_region = 0;
 };
 
 class Controller {
@@ -44,11 +41,6 @@ class Controller {
 
   void Start();
   void Stop();
-
-  // Adds a replica to the LB serving `lb->region()`; wires rings/tries.
-  void AddReplica(SkyWalkerLb* lb, Replica* replica);
-  // Removes a replica from whichever LB currently manages it.
-  void RemoveReplica(ReplicaId replica_id);
 
   // Explicit recovery entry point (also used by the auto-recovery timer).
   // Returns false if the LB was not in a failed state.

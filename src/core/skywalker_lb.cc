@@ -9,6 +9,19 @@
 
 namespace skywalker {
 
+namespace {
+
+// Token capacity of the local-replica and regional-snapshot routing tries.
+constexpr int64_t kTrieCapacityTokens = 4'000'000;
+
+// A region advertises itself as overloaded (and refuses inbound offloads)
+// when the EWMA of its available-replica fraction falls below this.
+// Point-in-time probe snapshots flap at saturation; the EWMA separates
+// "briefly busy" from "no real headroom".
+constexpr double kOverloadAvailEwmaThreshold = 0.25;
+
+}  // namespace
+
 SkyWalkerLb::SkyWalkerLb(Simulator* sim, Network* net, LbId id,
                          RegionId region, const SkyWalkerConfig& config)
     : sim_(sim),
@@ -16,10 +29,8 @@ SkyWalkerLb::SkyWalkerLb(Simulator* sim, Network* net, LbId id,
       id_(id),
       region_(region),
       config_(config),
-      replica_ring_(config.ring_vnodes),
-      lb_ring_(config.ring_vnodes),
-      replica_trie_(config.replica_trie_capacity),
-      snapshot_trie_(config.snapshot_trie_capacity),
+      replica_trie_(kTrieCapacityTokens),
+      snapshot_trie_(kTrieCapacityTokens),
       engine_(sim, net, region, config.engine, /*selector=*/this,
               EngineCallbacks()) {}
 
@@ -106,14 +117,14 @@ bool SkyWalkerLb::PeerAvailable(const PeerState& state) const {
   size_t effective_queue =
       state.probed_queue_size + static_cast<size_t>(state.forwards_since_probe);
   return state.probed_avail_replicas > 0 &&
-         effective_queue <= config_.routing.queue_tau;
+         effective_queue <= kQueueTau;
 }
 
 bool SkyWalkerLb::IsOverloaded() const {
   if (!Serving()) {
     return true;
   }
-  return avail_fraction_ewma_ < config_.routing.overload_avail_ewma_threshold;
+  return avail_fraction_ewma_ < kOverloadAvailEwmaThreshold;
 }
 
 int SkyWalkerLb::AvailableReplicaCount() const {

@@ -69,18 +69,14 @@ enum class RoutingPolicyKind {
   kPrefixTree,      // SkyWalker
 };
 
+// τ: small queue buffer for newly arriving requests (Listing 1, line 12). A
+// peer LB whose (probed + optimistically forwarded) queue exceeds τ is not
+// available for forwarding.
+inline constexpr size_t kQueueTau = 4;
+
 // The cross-region routing knobs of SkyWalkerLb.
 struct RoutingConfig {
   RoutingPolicyKind policy = RoutingPolicyKind::kPrefixTree;
-
-  // τ: small queue buffer for newly arriving requests (Listing 1, line 12).
-  size_t queue_tau = 4;
-
-  // A region advertises itself as overloaded (and refuses inbound offloads)
-  // when the EWMA of its available-replica fraction falls below this.
-  // Point-in-time probe snapshots flap at saturation; the EWMA separates
-  // "briefly busy" from "no real headroom".
-  double overload_avail_ewma_threshold = 0.25;
 
   // Flap damping: forward only after local replicas have been continuously
   // unavailable for this long. Saturated replicas flap between full and
@@ -115,10 +111,6 @@ struct RoutingConfig {
 struct SkyWalkerConfig {
   DispatchConfig engine = SkyWalkerEngineDefaults();
   RoutingConfig routing;
-
-  int64_t replica_trie_capacity = 4'000'000;
-  int64_t snapshot_trie_capacity = 4'000'000;
-  int ring_vnodes = 128;
 
   // Optional constraint on forwarding pairs (GDPR, §7). Null allows all.
   std::function<bool(RegionId from, RegionId to)> forward_allowed;

@@ -48,7 +48,7 @@ struct BaselineSystem {
 
 std::unique_ptr<LoadBalancer> MakeCentralLb(SystemKind kind, Simulator* sim,
                                             Network* net) {
-  const LbConfig config;  // Blind pushing; SGL's cache-aware defaults.
+  const DispatchConfig config;  // Blind pushing.
   switch (kind) {
     case SystemKind::kRoundRobin:
       return std::make_unique<RoundRobinLb>(sim, net, 0, kCentralLbRegion,
@@ -202,8 +202,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     dspec.replica_config = spec.replica_config;
     dspec.lb_config = spec.lb;
     dspec.controller_config = spec.controller;
-    Simulator* controller_sim =
-        net->SimForRegion(dspec.controller_config.home_region);
+    Simulator* controller_sim = net->SimForRegion(kControllerRegion);
     deployment = Deployment::Build(controller_sim, net.get(), dspec);
   } else {
     baseline = BuildBaseline(spec, net.get());

@@ -21,35 +21,16 @@
 
 namespace skywalker {
 
-struct LbConfig {
-  // Engine knobs (push mode, probe interval, slack, gates, outlier
-  // detection), in the shared DispatchConfig vocabulary. Baselines default
-  // to blind pushing; paper §4.1 probes every 100 ms.
-  DispatchConfig engine;
-
-  // --- SGL cache-aware policy knobs (policy-owned, not engine state) ---
-
-  // Capacity of the policy-owned routing trie (SGL policy).
-  int64_t routing_trie_capacity = 4'000'000;
-
-  // SGL cache-aware threshold: route by prefix only when the best match
-  // covers at least this fraction of the prompt.
-  double sgl_match_threshold = 0.5;
-
-  // SGL fallback bookkeeping: once a worker's approximate tree-size estimate
-  // exceeds this (≈ its KV budget), all estimates decay, mirroring worker
-  // eviction.
-  int64_t sgl_tree_decay_tokens = 49152;
-};
-
 class LoadBalancer : public Frontend {
  public:
   using Stats = DispatchEngine::Stats;
 
+  // `config` holds the engine knobs (push mode, probe interval, slack,
+  // gates, outlier detection); baselines default to blind pushing.
   // `selector` provides the placement policy; see src/lb/policies.h for the
   // four baselines. The selector is notified of replica attach/detach.
   LoadBalancer(Simulator* sim, Network* net, LbId id, RegionId region,
-               const LbConfig& config,
+               const DispatchConfig& config,
                std::unique_ptr<ReplicaSelector> selector);
   ~LoadBalancer() override;
 
@@ -69,7 +50,7 @@ class LoadBalancer : public Frontend {
   void HandleRequest(Request req, RequestCallbacks callbacks) override;
 
   LbId id() const { return id_; }
-  const LbConfig& config() const { return config_; }
+  const DispatchConfig& config() const { return engine_.config(); }
   const Stats& stats() const { return engine_.stats(); }
   size_t queue_length() const { return engine_.queue_size(); }
 
@@ -81,7 +62,6 @@ class LoadBalancer : public Frontend {
  private:
   LbId id_;
   RegionId region_;
-  LbConfig config_;
   std::unique_ptr<ReplicaSelector> selector_;
   DispatchEngine engine_;
 };

@@ -9,8 +9,8 @@
 //         with the most free cache space.
 //
 // All four run as a single (typically centralized) LoadBalancer. Their push
-// mode comes from LbConfig — the paper's baselines use blind pushing; the
-// Fig. 9 microbenchmark re-runs SGL with SP-O and SP-P.
+// mode comes from its DispatchConfig — the paper's baselines use blind
+// pushing; the Fig. 9 microbenchmark re-runs SGL with SP-O and SP-P.
 //
 // The *Lb convenience classes bind each selector to a LoadBalancer with the
 // historical constructor signature, so call sites read `RoundRobinLb lb(...)`.
@@ -45,8 +45,6 @@ class LeastLoadSelector : public ReplicaSelector {
 
 class ConsistentHashSelector : public ReplicaSelector {
  public:
-  explicit ConsistentHashSelector(int vnodes_per_replica = 128);
-
   ReplicaId SelectReplica(const Queued& queued,
                           const CandidateView& candidates) override;
   void OnReplicaAttached(Replica* replica) override;
@@ -58,15 +56,13 @@ class ConsistentHashSelector : public ReplicaSelector {
 
 class SglRouterSelector : public ReplicaSelector {
  public:
-  explicit SglRouterSelector(const LbConfig& config);
+  SglRouterSelector();
 
   ReplicaId SelectReplica(const Queued& queued,
                           const CandidateView& candidates) override;
   void OnReplicaDetached(ReplicaId replica_id) override;
 
  private:
-  const double match_threshold_;
-  const int64_t tree_decay_tokens_;
   RoutingTrie trie_;
   // SGLang's cache-aware fallback balances by approximate per-worker tree
   // size (cache footprint), not by in-flight load — a deliberate fidelity
@@ -80,7 +76,7 @@ class SglRouterSelector : public ReplicaSelector {
 class RoundRobinLb : public LoadBalancer {
  public:
   RoundRobinLb(Simulator* sim, Network* net, LbId id, RegionId region,
-               const LbConfig& config)
+               const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<RoundRobinSelector>()) {}
 };
@@ -88,7 +84,7 @@ class RoundRobinLb : public LoadBalancer {
 class LeastLoadLb : public LoadBalancer {
  public:
   LeastLoadLb(Simulator* sim, Network* net, LbId id, RegionId region,
-              const LbConfig& config)
+              const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
                      std::make_unique<LeastLoadSelector>()) {}
 };
@@ -96,18 +92,17 @@ class LeastLoadLb : public LoadBalancer {
 class ConsistentHashLb : public LoadBalancer {
  public:
   ConsistentHashLb(Simulator* sim, Network* net, LbId id, RegionId region,
-                   const LbConfig& config, int vnodes_per_replica = 128)
+                   const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
-                     std::make_unique<ConsistentHashSelector>(
-                         vnodes_per_replica)) {}
+                     std::make_unique<ConsistentHashSelector>()) {}
 };
 
 class SglRouterLb : public LoadBalancer {
  public:
   SglRouterLb(Simulator* sim, Network* net, LbId id, RegionId region,
-              const LbConfig& config)
+              const DispatchConfig& config)
       : LoadBalancer(sim, net, id, region, config,
-                     std::make_unique<SglRouterSelector>(config)) {}
+                     std::make_unique<SglRouterSelector>()) {}
 };
 
 }  // namespace skywalker

@@ -30,7 +30,7 @@
 //     re-admission (the seed behavior, usually cheap under a warm prefix
 //     cache).
 //   * kSwap — the victim's private blocks move to host memory over PCIe
-//     (modeled: swap_us_per_token each direction; ~5 us/token ≈ 128 KiB of
+//     (modeled: kSwapUsPerToken each direction; ~5 us/token ≈ 128 KiB of
 //     KV over ~24 GiB/s effective PCIe 4.0 x16) and restore later without
 //     recomputation. The controller owns the transfer-time model and the
 //     swap counters; the replica owns victim choice and scheduling.
@@ -64,10 +64,6 @@ struct KvConfig {
   int64_t watermark_blocks = 0;
 
   PreemptPolicy preempt_policy = PreemptPolicy::kRecompute;
-
-  // Host<->device transfer cost per token, each direction. Default models
-  // 128 KiB/token KV over ~24 GiB/s effective PCIe 4.0 x16.
-  double swap_us_per_token = 5.2;
 };
 
 struct KvCounters {

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace skywalker {
 
@@ -34,15 +35,6 @@ SimDuration Topology::Latency(RegionId a, RegionId b) const {
   assert(b >= 0 && static_cast<size_t>(b) < n);
   SimDuration v = latency_[static_cast<size_t>(a) * n + static_cast<size_t>(b)];
   return v >= 0 ? v : kDefaultInterRegionLatency;
-}
-
-StatusOr<RegionId> Topology::FindRegion(std::string_view name) const {
-  for (size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) {
-      return static_cast<RegionId>(i);
-    }
-  }
-  return NotFoundError("no region named " + std::string(name));
 }
 
 RegionId Topology::Nearest(RegionId from,

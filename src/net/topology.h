@@ -7,11 +7,9 @@
 #define SKYWALKER_NET_TOPOLOGY_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/sim_time.h"
-#include "src/common/status.h"
 
 namespace skywalker {
 
@@ -37,7 +35,6 @@ class Topology {
 
   size_t num_regions() const { return names_.size(); }
   const std::string& name(RegionId id) const { return names_.at(id); }
-  StatusOr<RegionId> FindRegion(std::string_view name) const;
 
   // Among `candidates`, the region with the lowest latency from `from`
   // (ties: lower id). Returns kInvalidRegion for an empty candidate list.

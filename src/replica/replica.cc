@@ -8,6 +8,15 @@
 
 namespace skywalker {
 
+namespace {
+
+// Per-context-token decode cost (microseconds): the attention/KV-bandwidth
+// term that gives decode throughput its knee. Beyond a few dozen sequences,
+// adding batch slots stops paying (as on a real L4).
+constexpr double kDecodeUsPerContextToken = 0.5;
+
+}  // namespace
+
 Replica::Replica(Simulator* sim, ReplicaId id, RegionId region,
                  const ReplicaConfig& config)
     : sim_(sim),
@@ -133,11 +142,6 @@ int64_t Replica::active_memory_tokens() const {
 double Replica::active_memory_utilization() const {
   return static_cast<double>(active_memory_tokens()) /
          static_cast<double>(config_.kv_capacity_tokens);
-}
-
-double Replica::BusyFraction() const {
-  double elapsed = static_cast<double>(sim_->now());
-  return elapsed <= 0 ? 0.0 : stats_.busy_us / elapsed;
 }
 
 void Replica::Admit() {
@@ -295,7 +299,7 @@ void Replica::MaybeStep() {
   }
   // Plan the step: chunked prefill up to the step's prefill budget, plus one
   // decode token per decode-phase seq (mixed batch, SGLang-style).
-  int64_t prefill_budget = config_.max_prefill_tokens_per_step;
+  int64_t prefill_budget = kMaxPrefillTokensPerStep;
   int64_t prefill_total = 0;
   int decode_count = 0;
   int64_t decode_context_tokens = 0;
@@ -319,15 +323,13 @@ void Replica::MaybeStep() {
       config_.step_base_us +
       static_cast<double>(prefill_total) * config_.prefill_us_per_token +
       static_cast<double>(decode_count) * config_.decode_us_per_seq +
-      static_cast<double>(decode_context_tokens) *
-          config_.decode_us_per_context_token;
+      static_cast<double>(decode_context_tokens) * kDecodeUsPerContextToken;
   // Gray-failure knob: a straggler executes every step slower. The
   // multiplication by the default 1.0 is exact for finite doubles, so
   // unslowed replicas keep bit-identical step times.
   duration_us *= slowdown_;
   step_in_flight_ = true;
   ++stats_.engine_steps;
-  stats_.busy_us += duration_us;
   sim_->ScheduleAfter(static_cast<SimDuration>(duration_us),
                       [this, duration_us, decode_count] {
                         FinishStep(duration_us, decode_count);

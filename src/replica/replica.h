@@ -53,6 +53,10 @@
 
 namespace skywalker {
 
+// Chunked-prefill budget per engine step, in tokens: a longer prompt
+// prefills over several steps.
+inline constexpr int64_t kMaxPrefillTokensPerStep = 1024;
+
 struct ReplicaConfig {
   // KV memory in tokens. Default models an L4 (24 GB) serving
   // Llama-3.1-8B: ~6 GB free for KV at 128 KiB/token ≈ 49K tokens.
@@ -61,21 +65,14 @@ struct ReplicaConfig {
   // Engine cap on batch size (vLLM/SGLang max_num_seqs analogue).
   int max_running_requests = 64;
 
-  // Chunked-prefill budget per engine step.
-  int64_t max_prefill_tokens_per_step = 1024;
-
   // Admission headroom reserved per request for its future output.
   int64_t output_reserve_tokens = 128;
 
   // Timing constants (microseconds). Defaults calibrated so a 512-token
   // prefill costs ~300 ms (paper §2.1) and decode steps are tens of ms.
-  // The per-context-token term models attention/KV-bandwidth cost, which
-  // gives decode throughput its knee: beyond a few dozen sequences, adding
-  // batch slots stops paying (as on a real L4).
   double step_base_us = 20000.0;
   double prefill_us_per_token = 550.0;
   double decode_us_per_seq = 400.0;
-  double decode_us_per_context_token = 0.5;
 
   // Record a memory-utilization sample every N engine steps (0 disables).
   int memory_sample_every_steps = 4;
@@ -89,8 +86,6 @@ struct ReplicaConfig {
   // What preemption does to its victim: recompute (seed behavior) or
   // swap-to-host with modeled PCIe transfer latency.
   PreemptPolicy kv_preempt_policy = PreemptPolicy::kRecompute;
-  // PCIe transfer model for kSwap, us per token each direction.
-  double kv_swap_us_per_token = 5.2;
   // Victim selection for the prefix cache under memory pressure (ISSUE 8).
   // kLruLeaf is the behavior-frozen seed policy; kColdSubtree evicts whole
   // cold subtrees ranked by pages-per-expected-future-hit.
@@ -102,7 +97,6 @@ struct ReplicaConfig {
     config.block_size_tokens = kv_block_size_tokens;
     config.watermark_blocks = kv_watermark_blocks;
     config.preempt_policy = kv_preempt_policy;
-    config.swap_us_per_token = kv_swap_us_per_token;
     return config;
   }
 };
@@ -147,7 +141,6 @@ class Replica {
     int64_t preemptions = 0;  // Recompute + swap victims.
     int64_t dropped_requests = 0;  // Arrivals while failed (vanish, §10).
     int64_t engine_steps = 0;
-    double busy_us = 0;          // Total step time.
     double peak_memory_utilization = 0;
     int peak_running = 0;
     int peak_pending = 0;
@@ -248,9 +241,6 @@ class Replica {
   const PrefixCache& cache() const { return cache_; }
   const Stats& stats() const { return stats_; }
   const KvController& kv() const { return kv_; }
-
-  // Fraction of wall time the engine executed steps since construction.
-  double BusyFraction() const;
 
   // (time, utilization in [0,1]) samples for memory time-series figures.
   const std::vector<std::pair<SimTime, double>>& memory_series() const {

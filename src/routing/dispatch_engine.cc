@@ -9,6 +9,23 @@
 
 namespace skywalker {
 
+namespace {
+
+// A heartbeat probe unanswered for this long counts as a failure. Must
+// comfortably exceed the probe round trip to the farthest managed replica
+// (failover can attach remote replicas).
+constexpr SimDuration kProbeTimeout = Seconds(1);
+
+// Latency-outlier detection: a replica whose probed EWMA decode latency
+// exceeds this multiple of the fleet median collects a strike per probe
+// round (three strikes in a row eject it, health.cc)...
+constexpr double kLatencyFactor = 3.0;
+// ...once at least this many eligible replicas report samples, so that the
+// median means something.
+constexpr int kMinLatencyHosts = 3;
+
+}  // namespace
+
 // --- CandidateView -----------------------------------------------------
 
 size_t CandidateView::size() const { return engine_->num_replicas(); }
@@ -145,7 +162,7 @@ double DispatchEngine::EffectiveLoadOf(const ReplicaState& state) const {
   const HealthStatus status = state.health.status();
   if (status == HealthStatus::kDegraded ||
       status == HealthStatus::kRecovering) {
-    load += config_.outlier.degraded_load_penalty;
+    load += kDegradedLoadPenalty;
   }
   return load;
 }
@@ -388,9 +405,8 @@ void DispatchEngine::NoteReplicaFailure(ReplicaState& state) {
   if (!config_.outlier.enabled) {
     return;
   }
-  if (state.health.RecordFailure(config_.outlier) &&
-      EjectionAllowed(EjectedCount(), replicas_.size(),
-                      config_.outlier.max_ejection_fraction)) {
+  if (state.health.RecordFailure() &&
+      EjectionAllowed(EjectedCount(), replicas_.size())) {
     EjectReplica(state);
   }
 }
@@ -591,7 +607,6 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
 }
 
 void DispatchEngine::EvaluateOutliers() {
-  const OutlierConfig& outlier = config_.outlier;
   // Expired ejections go half-open: eligible for exactly one request, and
   // for latency re-evaluation once fresh samples arrive.
   for (ReplicaState& state : replicas_) {
@@ -599,9 +614,6 @@ void DispatchEngine::EvaluateOutliers() {
       state.health.BeginRecovery();
       TouchReplica(state);
     }
-  }
-  if (outlier.latency_factor <= 0.0) {
-    return;
   }
   // Fleet median of the probed decode-latency EWMAs, over replicas that are
   // reporting enough samples to mean something.
@@ -613,7 +625,7 @@ void DispatchEngine::EvaluateOutliers() {
       ewmas.push_back(state.probed.ewma_decode_us_per_token);
     }
   }
-  if (static_cast<int>(ewmas.size()) < outlier.min_latency_hosts) {
+  if (static_cast<int>(ewmas.size()) < kMinLatencyHosts) {
     return;
   }
   std::nth_element(ewmas.begin(), ewmas.begin() + ewmas.size() / 2,
@@ -627,13 +639,12 @@ void DispatchEngine::EvaluateOutliers() {
       continue;
     }
     const bool is_outlier =
-        state.probed.ewma_decode_us_per_token > outlier.latency_factor * median;
+        state.probed.ewma_decode_us_per_token > kLatencyFactor * median;
     const bool fresh_sample =
         state.probed.latency_samples > state.latency_samples_at_ejection;
-    switch (state.health.EvaluateLatency(outlier, is_outlier, fresh_sample)) {
+    switch (state.health.EvaluateLatency(is_outlier, fresh_sample)) {
       case LatencyVerdict::kWantsEject:
-        if (EjectionAllowed(EjectedCount(), replicas_.size(),
-                            outlier.max_ejection_fraction)) {
+        if (EjectionAllowed(EjectedCount(), replicas_.size())) {
           EjectReplica(state, /*latency_outlier=*/true);
         }
         break;
@@ -766,6 +777,8 @@ void DispatchEngine::ProbeAll() {
     }
     return;
   }
+  // Per-replica round trips: outlier detection is on, so each probe arms
+  // its own miss timeout.
   for (ReplicaState& state : replicas_) {
     ++stats_.probes_sent;
     Replica* replica = state.replica;
@@ -785,19 +798,15 @@ void DispatchEngine::ProbeAll() {
         ApplyProbeResponse(replica_id, epoch, payload);
       });
     });
-    if (config_.outlier.enabled && config_.outlier.probe_timeout > 0) {
-      sim_->ScheduleAfter(config_.outlier.probe_timeout,
-                          [this, replica_id, epoch] {
-                            ReplicaState* rs = FindReplica(replica_id);
-                            if (rs == nullptr ||
-                                rs->probe_epoch_received >= epoch) {
-                              return;
-                            }
-                            ++stats_.probe_misses;
-                            NoteReplicaFailure(*rs);
-                            TouchReplica(*rs);
-                          });
-    }
+    sim_->ScheduleAfter(kProbeTimeout, [this, replica_id, epoch] {
+      ReplicaState* rs = FindReplica(replica_id);
+      if (rs == nullptr || rs->probe_epoch_received >= epoch) {
+        return;
+      }
+      ++stats_.probe_misses;
+      NoteReplicaFailure(*rs);
+      TouchReplica(*rs);
+    });
   }
   if (callbacks_.on_after_replica_probes) {
     callbacks_.on_after_replica_probes();

@@ -74,9 +74,14 @@ enum class PushMode {
   kSelectivePending,
 };
 
-// Engine knobs shared by every balancer; policy-specific knobs stay in the
-// owning stack's config (LbConfig / SkyWalkerConfig). Fixed when the engine
-// is built: no knob here changes mid-run.
+// Added to a degraded or half-open replica's effective load: the soft
+// priority (DESIGN.md §10) that makes healthy replicas win least-loaded
+// selection until they are this many requests deeper.
+inline constexpr double kDegradedLoadPenalty = 8.0;
+
+// Engine knobs shared by every balancer: the whole configuration of the
+// baseline balancers (src/lb), and the engine half of SkyWalkerConfig.
+// Fixed when the engine is built: no knob here changes mid-run.
 struct DispatchConfig {
   PushMode push_mode = PushMode::kBlind;
 

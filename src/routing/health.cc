@@ -4,12 +4,23 @@
 
 namespace skywalker {
 
-bool EjectionAllowed(int currently_ejected, size_t fleet_size,
-                     double max_ejection_fraction) {
-  if (max_ejection_fraction <= 0.0) return false;
+namespace {
+
+// Consecutive failures (request timeouts + probe misses) that eject.
+constexpr int kConsecutiveFailuresToEject = 3;
+
+// Latency-outlier rounds in a row that eject; the first strike degrades.
+constexpr int kLatencyStrikesToEject = 3;
+
+// At most this fraction of the fleet may be ejected at once.
+constexpr double kMaxEjectionFraction = 0.5;
+
+}  // namespace
+
+bool EjectionAllowed(int currently_ejected, size_t fleet_size) {
   if (currently_ejected == 0) return true;
   return static_cast<double>(currently_ejected + 1) <=
-         max_ejection_fraction * static_cast<double>(fleet_size);
+         kMaxEjectionFraction * static_cast<double>(fleet_size);
 }
 
 bool ReplicaHealth::RecordSuccess() {
@@ -25,21 +36,20 @@ bool ReplicaHealth::RecordSuccess() {
 
 void ReplicaHealth::RecordProbeSuccess() { consecutive_failures_ = 0; }
 
-bool ReplicaHealth::RecordFailure(const OutlierConfig& config) {
+bool ReplicaHealth::RecordFailure() {
   // Any failure while half-open is disqualifying: the target had one chance
   // and blew it.
   if (status_ == HealthStatus::kRecovering) return true;
   if (status_ == HealthStatus::kEjected) return false;
   ++consecutive_failures_;
-  if (consecutive_failures_ >= config.consecutive_failures) return true;
+  if (consecutive_failures_ >= kConsecutiveFailuresToEject) return true;
   // Below the threshold: deprioritize so the failover ladder already routes
   // around a target that has started misbehaving.
   if (status_ == HealthStatus::kHealthy) status_ = HealthStatus::kDegraded;
   return false;
 }
 
-LatencyVerdict ReplicaHealth::EvaluateLatency(const OutlierConfig& config,
-                                              bool outlier,
+LatencyVerdict ReplicaHealth::EvaluateLatency(bool outlier,
                                               bool fresh_sample) {
   if (status_ == HealthStatus::kEjected) return LatencyVerdict::kNone;
   if (status_ == HealthStatus::kRecovering) {
@@ -64,7 +74,7 @@ LatencyVerdict ReplicaHealth::EvaluateLatency(const OutlierConfig& config,
     return LatencyVerdict::kNone;
   }
   ++latency_strikes_;
-  if (latency_strikes_ >= config.latency_strikes_to_eject) {
+  if (latency_strikes_ >= kLatencyStrikesToEject) {
     return LatencyVerdict::kWantsEject;
   }
   if (status_ == HealthStatus::kHealthy) {
@@ -76,7 +86,7 @@ LatencyVerdict ReplicaHealth::EvaluateLatency(const OutlierConfig& config,
 
 void ReplicaHealth::Eject(const OutlierConfig& config, SimTime now) {
   ++ejection_count_;
-  int multiplier = std::min(ejection_count_, config.max_ejection_backoff);
+  int multiplier = std::min(ejection_count_, kMaxEjectionBackoff);
   status_ = HealthStatus::kEjected;
   ejected_until_ = now + config.base_ejection_time * multiplier;
   consecutive_failures_ = 0;

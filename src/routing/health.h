@@ -17,8 +17,8 @@
 //                 (ejection time grows with the ejection count)
 //
 // kDegraded targets stay eligible but are load-deprioritized (the engine
-// adds OutlierConfig::degraded_load_penalty to their effective load), which
-// makes {healthy} ≻ {degraded, recovering} ≻ {ejected} a per-region priority
+// adds kDegradedLoadPenalty to their effective load), which makes
+// {healthy} ≻ {degraded, recovering} ≻ {ejected} a per-region priority
 // failover ladder; cross-region forwarding is the tier below that.
 // kRecovering targets are half-open: the engine admits at most one
 // outstanding request until a success (or a clean latency verdict on a fresh
@@ -65,7 +65,8 @@ class HealthSource {
 
 // Passive outlier-detection knobs (all inert at the defaults: `enabled`
 // gates every code path, so default-config runs are byte-identical to the
-// pre-resilience engine).
+// pre-resilience engine). The rest of the policy is fixed: see the
+// constants in health.cc and dispatch_engine.cc.
 struct OutlierConfig {
   bool enabled = false;
 
@@ -75,46 +76,19 @@ struct OutlierConfig {
   // replica was merely slow. 0 disables timeouts even when enabled.
   SimDuration request_timeout = Seconds(30);
 
-  // A heartbeat probe unanswered for this long counts as a failure. Must
-  // comfortably exceed the probe round trip to the farthest managed replica
-  // (failover can attach remote replicas). 0 disables probe-miss detection.
-  SimDuration probe_timeout = Seconds(1);
-
-  // Consecutive failures (request timeouts + probe misses) that eject.
-  int consecutive_failures = 3;
-
-  // Latency-outlier ejection: a replica whose probed EWMA decode latency
-  // exceeds `latency_factor` x the fleet median collects a strike per probe
-  // round; `latency_strikes_to_eject` strikes eject it. The first strike
-  // degrades it (load-deprioritized). <= 0 disables latency detection.
-  double latency_factor = 3.0;
-  int latency_strikes_to_eject = 3;
-  // Latency detection needs at least this many eligible replicas reporting
-  // samples before a median is meaningful.
-  int min_latency_hosts = 3;
-
-  // At most this fraction of the fleet may be ejected at once; one ejection
-  // is always allowed when the fraction is > 0 (small fleets must still be
-  // able to shed their one straggler). Failures past the clamp leave the
-  // replica degraded instead of ejected.
-  double max_ejection_fraction = 0.5;
-
-  // Ejection duration: base * min(ejection_count, max_ejection_backoff),
+  // Ejection duration: base * min(ejection_count, kMaxEjectionBackoff),
   // Envoy-style linear backoff for repeat offenders.
   SimDuration base_ejection_time = Seconds(5);
-  int max_ejection_backoff = 8;
-
-  // Added to a kDegraded replica's effective load in least-loaded scans:
-  // the soft priority that makes healthy replicas win until they are this
-  // many requests deep.
-  double degraded_load_penalty = 8.0;
 };
 
-// Max-ejection-fraction clamp: may one more target be ejected? The first
-// ejection is always allowed (fraction > 0), so a two-replica region can
-// still shed its straggler.
-bool EjectionAllowed(int currently_ejected, size_t fleet_size,
-                     double max_ejection_fraction);
+// Cap on the ejection-duration multiplier (see base_ejection_time).
+inline constexpr int kMaxEjectionBackoff = 8;
+
+// Max-ejection-fraction clamp: may one more target be ejected? At most half
+// the fleet may be out at once, but the first ejection is always allowed,
+// so a small region can still shed its one straggler. Failures past the
+// clamp leave the replica degraded instead of ejected.
+bool EjectionAllowed(int currently_ejected, size_t fleet_size);
 
 // Latency-outlier verdict for one evaluation round (see EvaluateLatency).
 enum class LatencyVerdict {
@@ -129,8 +103,6 @@ enum class LatencyVerdict {
 class ReplicaHealth {
  public:
   HealthStatus status() const { return status_; }
-  int consecutive_failures() const { return consecutive_failures_; }
-  int latency_strikes() const { return latency_strikes_; }
   int ejection_count() const { return ejection_count_; }
   SimTime ejected_until() const { return ejected_until_; }
 
@@ -147,14 +119,13 @@ class ReplicaHealth {
   // ejection (threshold reached, or any failure while half-open); the caller
   // applies EjectionAllowed and calls Eject. Below the threshold the target
   // degrades so failover ordering already routes around it.
-  bool RecordFailure(const OutlierConfig& config);
+  bool RecordFailure();
 
   // One latency-evaluation round. `outlier` is this round's verdict against
   // the fleet median; `fresh_sample` is whether the EWMA has incorporated a
   // completion since the last ejection (half-open evidence). Returns what
   // happened; on kWantsEject the caller applies the clamp and calls Eject.
-  LatencyVerdict EvaluateLatency(const OutlierConfig& config, bool outlier,
-                                 bool fresh_sample);
+  LatencyVerdict EvaluateLatency(bool outlier, bool fresh_sample);
 
   // Transitions to kEjected until now + base * min(count+1, backoff cap).
   void Eject(const OutlierConfig& config, SimTime now);

@@ -1,79 +1,19 @@
-// Unit tests for src/common: Status/StatusOr, RNG distributions, hashing,
-// statistics containers, strings and table rendering.
+// Unit tests for src/common: RNG distributions, hashing, statistics
+// containers, strings and table rendering.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
 
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
-#include "src/common/status.h"
 #include "src/common/strings.h"
 #include "src/common/table.h"
 
 namespace skywalker {
 namespace {
-
-TEST(StatusTest, OkByDefault) {
-  Status s;
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kOk);
-  EXPECT_EQ(s.ToString(), "OK");
-}
-
-TEST(StatusTest, ErrorCarriesCodeAndMessage) {
-  Status s = NotFoundError("replica 7");
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_EQ(s.message(), "replica 7");
-  EXPECT_EQ(s.ToString(), "NOT_FOUND: replica 7");
-}
-
-TEST(StatusTest, AllConstructorsMapToCodes) {
-  EXPECT_EQ(InvalidArgumentError("x").code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(AlreadyExistsError("x").code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(FailedPreconditionError("x").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ResourceExhaustedError("x").code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(UnavailableError("x").code(), StatusCode::kUnavailable);
-  EXPECT_EQ(DeadlineExceededError("x").code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(InternalError("x").code(), StatusCode::kInternal);
-  EXPECT_EQ(UnimplementedError("x").code(), StatusCode::kUnimplemented);
-}
-
-TEST(StatusTest, EqualityComparesCodeAndMessage) {
-  EXPECT_EQ(OkStatus(), OkStatus());
-  EXPECT_EQ(NotFoundError("a"), NotFoundError("a"));
-  EXPECT_FALSE(NotFoundError("a") == NotFoundError("b"));
-  EXPECT_FALSE(NotFoundError("a") == InternalError("a"));
-}
-
-TEST(StatusOrTest, HoldsValue) {
-  StatusOr<int> v = 42;
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, 42);
-  EXPECT_EQ(v.value_or(7), 42);
-}
-
-TEST(StatusOrTest, HoldsError) {
-  StatusOr<int> v = InvalidArgumentError("nope");
-  ASSERT_FALSE(v.ok());
-  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(v.value_or(7), 7);
-}
-
-Status FailsThenPropagates() {
-  SKYWALKER_RETURN_IF_ERROR(InternalError("inner"));
-  return OkStatus();
-}
-
-TEST(StatusOrTest, ReturnIfErrorMacroPropagates) {
-  EXPECT_EQ(FailsThenPropagates().code(), StatusCode::kInternal);
-}
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123);
@@ -227,16 +167,6 @@ TEST(RngTest, ForkProducesIndependentStreams) {
   EXPECT_EQ(same, 0);
 }
 
-TEST(RngTest, ShufflePreservesElements) {
-  Rng rng(41);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7};
-  auto original = v;
-  rng.Shuffle(v);
-  std::multiset<int> a(v.begin(), v.end());
-  std::multiset<int> b(original.begin(), original.end());
-  EXPECT_EQ(a, b);
-}
-
 TEST(HashTest, Mix64Avalanche) {
   // Flipping one input bit should flip many output bits.
   uint64_t h1 = Mix64(0x1234);
@@ -249,10 +179,6 @@ TEST(HashTest, HashStringStable) {
   EXPECT_EQ(HashString("user-42"), HashString("user-42"));
   EXPECT_NE(HashString("user-42"), HashString("user-43"));
   EXPECT_NE(HashString("a", 1), HashString("a", 2));  // Seed matters.
-}
-
-TEST(HashTest, HashCombineOrderDependent) {
-  EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }
 
 TEST(RunningStatTest, BasicMoments) {
@@ -348,19 +274,12 @@ TEST(StringsTest, SplitAndJoin) {
   EXPECT_EQ(StrJoin({"x", "y"}, "::"), "x::y");
 }
 
-TEST(StringsTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("skywalker", "sky"));
-  EXPECT_FALSE(StartsWith("sky", "skywalker"));
-}
-
-TEST(TableTest, AsciiAndCsvRender) {
+TEST(TableTest, AsciiRender) {
   Table t({"name", "value"});
   t.AddRow({"tput", Table::Num(12.345, 1)});
   std::string ascii = t.ToAscii();
   EXPECT_NE(ascii.find("tput"), std::string::npos);
   EXPECT_NE(ascii.find("12.3"), std::string::npos);
-  std::string csv = t.ToCsv();
-  EXPECT_EQ(csv, "name,value\ntput,12.3\n");
 }
 
 TEST(TableTest, ShortRowsArePadded) {

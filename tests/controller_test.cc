@@ -25,7 +25,6 @@ struct ControllerBench {
     net = std::make_unique<Network>(&sim, topology);
     DeploymentSpec spec;
     spec.replicas_per_region = {2, 2, 2};
-    spec.controller_config.health_probe_interval = Milliseconds(200);
     spec.controller_config.auto_recovery_delay = auto_recovery;
     deployment = Deployment::Build(&sim, net.get(), spec);
     deployment->Start();
@@ -106,16 +105,6 @@ TEST(ControllerTest, RecoverLbIsIdempotent) {
   bench.sim.RunFor(Seconds(1));
   EXPECT_TRUE(bench.deployment->controller()->RecoverLb(eu->id()));
   EXPECT_FALSE(bench.deployment->controller()->RecoverLb(eu->id()));
-}
-
-TEST(ControllerTest, AddAndRemoveReplicaAtRuntime) {
-  ControllerBench bench;
-  SkyWalkerLb* us = bench.deployment->LbInRegion(0);
-  Replica extra(&bench.sim, 99, 0, ReplicaConfig{});
-  bench.deployment->controller()->AddReplica(us, &extra);
-  EXPECT_EQ(us->num_replicas(), 3u);
-  bench.deployment->controller()->RemoveReplica(99);
-  EXPECT_EQ(us->num_replicas(), 2u);
 }
 
 TEST(DnsResolverTest, ResolvesNearestHealthy) {

@@ -83,11 +83,11 @@ struct Bench {
       sky->AttachReplica(replica.get());
       return;
     }
-    LbConfig config;
-    config.engine.push_mode = mode;
-    config.engine.push_slack = push_slack;
-    config.engine.probe_interval = probe_interval;
-    config.engine.max_outstanding_per_replica = 4;
+    DispatchConfig config;
+    config.push_mode = mode;
+    config.push_slack = push_slack;
+    config.probe_interval = probe_interval;
+    config.max_outstanding_per_replica = 4;
     switch (kind) {
       case BalancerKind::kRoundRobin:
         baseline =

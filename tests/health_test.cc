@@ -13,30 +13,23 @@ namespace {
 OutlierConfig TestConfig() {
   OutlierConfig config;
   config.enabled = true;
-  config.consecutive_failures = 3;
-  config.latency_strikes_to_eject = 3;
   config.base_ejection_time = Seconds(5);
-  config.max_ejection_backoff = 4;
   return config;
 }
 
-TEST(EjectionAllowedTest, ZeroFractionForbidsEverything) {
-  EXPECT_FALSE(EjectionAllowed(0, 4, 0.0));
-  EXPECT_FALSE(EjectionAllowed(0, 4, -1.0));
-}
-
 TEST(EjectionAllowedTest, FirstEjectionAlwaysAllowed) {
-  // Even when the fraction rounds to less than one host (2 * 0.1 = 0.2),
-  // a small fleet must still be able to shed its one straggler.
-  EXPECT_TRUE(EjectionAllowed(0, 2, 0.1));
-  EXPECT_TRUE(EjectionAllowed(0, 1, 0.5));
+  // Even when the fraction rounds to less than one host (1 * 0.5), a small
+  // fleet must still be able to shed its one straggler.
+  EXPECT_TRUE(EjectionAllowed(0, 1));
+  EXPECT_TRUE(EjectionAllowed(0, 2));
 }
 
 TEST(EjectionAllowedTest, FractionClampsFurtherEjections) {
-  // 4 hosts at 0.5: two may be out at once, never three.
-  EXPECT_TRUE(EjectionAllowed(0, 4, 0.5));
-  EXPECT_TRUE(EjectionAllowed(1, 4, 0.5));
-  EXPECT_FALSE(EjectionAllowed(2, 4, 0.5));
+  // 4 hosts at the 0.5 max-ejection fraction: two may be out at once,
+  // never three.
+  EXPECT_TRUE(EjectionAllowed(0, 4));
+  EXPECT_TRUE(EjectionAllowed(1, 4));
+  EXPECT_FALSE(EjectionAllowed(2, 4));
 }
 
 TEST(ReplicaHealthTest, StartsHealthyAndServing) {
@@ -46,25 +39,23 @@ TEST(ReplicaHealthTest, StartsHealthyAndServing) {
 }
 
 TEST(ReplicaHealthTest, FirstFailureDegradesThresholdEjects) {
-  const OutlierConfig config = TestConfig();
   ReplicaHealth health;
-  EXPECT_FALSE(health.RecordFailure(config));  // 1st: degrade.
+  EXPECT_FALSE(health.RecordFailure());  // 1st: degrade.
   EXPECT_EQ(health.status(), HealthStatus::kDegraded);
   EXPECT_TRUE(CanServe(health.status()));  // Degraded still serves.
-  EXPECT_FALSE(health.RecordFailure(config));  // 2nd: still below.
-  EXPECT_TRUE(health.RecordFailure(config));   // 3rd: wants ejection.
+  EXPECT_FALSE(health.RecordFailure());  // 2nd: still below.
+  EXPECT_TRUE(health.RecordFailure());   // 3rd: wants ejection.
 }
 
 TEST(ReplicaHealthTest, ProbeSuccessClearsConsecutiveFailures) {
-  const OutlierConfig config = TestConfig();
   ReplicaHealth health;
-  health.RecordFailure(config);
-  health.RecordFailure(config);
+  health.RecordFailure();
+  health.RecordFailure();
   health.RecordProbeSuccess();
   // The streak restarts: two more failures stay below the threshold.
-  EXPECT_FALSE(health.RecordFailure(config));
-  EXPECT_FALSE(health.RecordFailure(config));
-  EXPECT_TRUE(health.RecordFailure(config));
+  EXPECT_FALSE(health.RecordFailure());
+  EXPECT_FALSE(health.RecordFailure());
+  EXPECT_TRUE(health.RecordFailure());
 }
 
 TEST(ReplicaHealthTest, EjectionTimerAndLinearBackoff) {
@@ -81,13 +72,12 @@ TEST(ReplicaHealthTest, EjectionTimerAndLinearBackoff) {
   health.BeginRecovery();
   health.Eject(config, Seconds(200));
   EXPECT_EQ(health.ejected_until(), Seconds(210));
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < kMaxEjectionBackoff + 2; ++i) {
     health.BeginRecovery();
     health.Eject(config, Seconds(300));
   }
   EXPECT_EQ(health.ejected_until(),
-            Seconds(300) + config.base_ejection_time *
-                               config.max_ejection_backoff);
+            Seconds(300) + config.base_ejection_time * kMaxEjectionBackoff);
 }
 
 TEST(ReplicaHealthTest, HalfOpenSuccessRecoversFailureReEjects) {
@@ -99,7 +89,7 @@ TEST(ReplicaHealthTest, HalfOpenSuccessRecoversFailureReEjects) {
   EXPECT_TRUE(CanServe(health.status()));  // Half-open takes one request.
 
   // Any failure while half-open is immediately disqualifying.
-  EXPECT_TRUE(health.RecordFailure(config));
+  EXPECT_TRUE(health.RecordFailure());
 
   health.Eject(config, 0);
   health.BeginRecovery();
@@ -114,34 +104,32 @@ TEST(ReplicaHealthTest, BeginRecoveryOnlyFromEjected) {
 }
 
 TEST(ReplicaHealthTest, LatencyStrikesDegradeThenEject) {
-  const OutlierConfig config = TestConfig();
   ReplicaHealth health;
-  EXPECT_EQ(health.EvaluateLatency(config, /*outlier=*/true, true),
+  EXPECT_EQ(health.EvaluateLatency(/*outlier=*/true, true),
             LatencyVerdict::kDegraded);
   EXPECT_EQ(health.status(), HealthStatus::kDegraded);
-  EXPECT_EQ(health.EvaluateLatency(config, true, true), LatencyVerdict::kNone);
-  EXPECT_EQ(health.EvaluateLatency(config, true, true),
+  EXPECT_EQ(health.EvaluateLatency(true, true), LatencyVerdict::kNone);
+  EXPECT_EQ(health.EvaluateLatency(true, true),
             LatencyVerdict::kWantsEject);
 }
 
 TEST(ReplicaHealthTest, CleanRoundHealsLatencyDegradedOnly) {
-  const OutlierConfig config = TestConfig();
   ReplicaHealth latency_degraded;
-  latency_degraded.EvaluateLatency(config, true, true);
+  latency_degraded.EvaluateLatency(true, true);
   ASSERT_EQ(latency_degraded.status(), HealthStatus::kDegraded);
-  EXPECT_EQ(latency_degraded.EvaluateLatency(config, false, true),
+  EXPECT_EQ(latency_degraded.EvaluateLatency(false, true),
             LatencyVerdict::kNone);
   EXPECT_EQ(latency_degraded.status(), HealthStatus::kHealthy);
 
   // Degraded-by-failure heals through RecordSuccess, not a clean latency
   // round (the failure streak is still open).
   ReplicaHealth failure_degraded;
-  failure_degraded.RecordFailure(config);
+  failure_degraded.RecordFailure();
   ASSERT_EQ(failure_degraded.status(), HealthStatus::kDegraded);
-  failure_degraded.EvaluateLatency(config, false, true);
+  failure_degraded.EvaluateLatency(false, true);
   EXPECT_EQ(failure_degraded.status(), HealthStatus::kDegraded);
   failure_degraded.RecordSuccess();
-  failure_degraded.EvaluateLatency(config, false, true);
+  failure_degraded.EvaluateLatency(false, true);
   EXPECT_EQ(failure_degraded.status(), HealthStatus::kHealthy);
 }
 
@@ -152,16 +140,16 @@ TEST(ReplicaHealthTest, HalfOpenLatencyNeedsFreshSample) {
   health.BeginRecovery();
   // Probe reachability alone (stale EWMA) must not close the half-open
   // state in either direction.
-  EXPECT_EQ(health.EvaluateLatency(config, true, /*fresh_sample=*/false),
+  EXPECT_EQ(health.EvaluateLatency(true, /*fresh_sample=*/false),
             LatencyVerdict::kNone);
   EXPECT_EQ(health.status(), HealthStatus::kRecovering);
   // A fresh sample that is still an outlier re-ejects ...
-  EXPECT_EQ(health.EvaluateLatency(config, true, true),
+  EXPECT_EQ(health.EvaluateLatency(true, true),
             LatencyVerdict::kWantsEject);
   // ... and a clean fresh sample recovers.
   health.Eject(config, 0);
   health.BeginRecovery();
-  EXPECT_EQ(health.EvaluateLatency(config, false, true),
+  EXPECT_EQ(health.EvaluateLatency(false, true),
             LatencyVerdict::kRecovered);
   EXPECT_EQ(health.status(), HealthStatus::kHealthy);
 }
@@ -169,13 +157,18 @@ TEST(ReplicaHealthTest, HalfOpenLatencyNeedsFreshSample) {
 TEST(ReplicaHealthTest, ResetRestoresPristineState) {
   const OutlierConfig config = TestConfig();
   ReplicaHealth health;
-  health.RecordFailure(config);
   health.Eject(config, Seconds(50));
+  health.BeginRecovery();
+  health.RecordSuccess();
+  health.RecordFailure();
+  health.RecordFailure();
   health.Reset();
   EXPECT_EQ(health.status(), HealthStatus::kHealthy);
-  EXPECT_EQ(health.consecutive_failures(), 0);
   EXPECT_EQ(health.ejection_count(), 0);
   EXPECT_EQ(health.ejected_until(), 0);
+  // The failure streak is gone: a fresh streak needs the full threshold.
+  EXPECT_FALSE(health.RecordFailure());
+  EXPECT_FALSE(health.RecordFailure());
   // Backoff history is gone: the next ejection uses the base duration.
   health.Eject(config, 0);
   EXPECT_EQ(health.ejected_until(), config.base_ejection_time);

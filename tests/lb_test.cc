@@ -51,7 +51,7 @@ RequestCallbacks CountCompletions(int* completed) {
 
 TEST(RoundRobinLbTest, CyclesThroughReplicas) {
   TestBench bench(3);
-  LbConfig config;
+  DispatchConfig config;
   RoundRobinLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -73,7 +73,7 @@ TEST(RoundRobinLbTest, CyclesThroughReplicas) {
 
 TEST(LeastLoadLbTest, PrefersIdleReplica) {
   TestBench bench(2);
-  LbConfig config;
+  DispatchConfig config;
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -103,7 +103,7 @@ TEST(LeastLoadLbTest, PrefersIdleReplica) {
 
 TEST(ConsistentHashLbTest, SameKeySameReplica) {
   TestBench bench(4);
-  LbConfig config;
+  DispatchConfig config;
   ConsistentHashLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -129,7 +129,7 @@ TEST(ConsistentHashLbTest, SameKeySameReplica) {
 
 TEST(ConsistentHashLbTest, DifferentKeysSpread) {
   TestBench bench(4);
-  LbConfig config;
+  DispatchConfig config;
   ConsistentHashLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -156,7 +156,7 @@ TEST(ConsistentHashLbTest, DifferentKeysSpread) {
 
 TEST(SglRouterLbTest, RoutesSharedPrefixToSameReplica) {
   TestBench bench(4);
-  LbConfig config;
+  DispatchConfig config;
   SglRouterLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -188,7 +188,7 @@ TEST(SglRouterLbTest, RoutesSharedPrefixToSameReplica) {
 
 TEST(SglRouterLbTest, LowAffinityFallsBackToLeastLoad) {
   TestBench bench(2);
-  LbConfig config;
+  DispatchConfig config;
   SglRouterLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());
@@ -212,9 +212,9 @@ TEST(PushModeTest, SpoCapsOutstandingPerReplica) {
   ReplicaConfig rconfig;
   rconfig.kv_capacity_tokens = 100000;
   TestBench bench(1, rconfig);
-  LbConfig config;
-  config.engine.push_mode = PushMode::kSelectiveOutstanding;
-  config.engine.max_outstanding_per_replica = 4;
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectiveOutstanding;
+  config.max_outstanding_per_replica = 4;
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   lb.AttachReplica(bench.replicas[0].get());
   lb.Start();
@@ -239,10 +239,10 @@ TEST(PushModeTest, SppQueuesWhenReplicaFull) {
   rconfig.kv_capacity_tokens = 1200;
   rconfig.output_reserve_tokens = 128;
   TestBench bench(1, rconfig);
-  LbConfig config;
-  config.engine.push_mode = PushMode::kSelectivePending;
-  config.engine.push_slack = 2;
-  config.engine.probe_interval = Milliseconds(100);
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectivePending;
+  config.push_slack = 2;
+  config.probe_interval = Milliseconds(100);
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   lb.AttachReplica(bench.replicas[0].get());
   lb.Start();
@@ -266,8 +266,8 @@ TEST(PushModeTest, BlindPushingFloodsReplicaQueue) {
   rconfig.kv_capacity_tokens = 1200;
   rconfig.output_reserve_tokens = 128;
   TestBench bench(1, rconfig);
-  LbConfig config;
-  config.engine.push_mode = PushMode::kBlind;
+  DispatchConfig config;
+  config.push_mode = PushMode::kBlind;
   LeastLoadLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   lb.AttachReplica(bench.replicas[0].get());
   lb.Start();
@@ -295,7 +295,7 @@ TEST(LoadBalancerTest, OutcomeTimestampsIncludeNetworkPath) {
   topology.SetLatency(us, ap, Milliseconds(85));
   Network net(&sim, topology);
   Replica replica(&sim, 0, us, ReplicaConfig{});
-  LbConfig config;
+  DispatchConfig config;
   RoundRobinLb lb(&sim, &net, 0, us, config);
   lb.AttachReplica(&replica);
   lb.Start();
@@ -322,7 +322,7 @@ TEST(LoadBalancerTest, OutcomeTimestampsIncludeNetworkPath) {
 
 TEST(LoadBalancerTest, StatsTrackLifecycle) {
   TestBench bench(2);
-  LbConfig config;
+  DispatchConfig config;
   RoundRobinLb lb(&bench.sim, bench.net.get(), 0, 0, config);
   for (auto& replica : bench.replicas) {
     lb.AttachReplica(replica.get());

@@ -271,14 +271,13 @@ TEST(KvControllerTest, WatermarkHoldsBlocksBack) {
 TEST(KvControllerTest, SwapLedgerModelsPcieTime) {
   KvConfig config;
   config.capacity_tokens = 1000;
-  config.swap_us_per_token = 5.0;
   KvController kv(config);
   KvController::SeqId seq = kv.AdmitSeq(100, 50);
   kv.OnPrefillChunk(seq, 100);
   ASSERT_EQ(kv.SeqTokens(seq), 100);
 
   SimDuration out = kv.SwapOut(seq);
-  EXPECT_EQ(out, 500);  // 100 tokens * 5 us.
+  EXPECT_EQ(out, 520);  // 100 tokens * 5.2 us.
   EXPECT_EQ(kv.seq_resident_tokens(), 0);
   EXPECT_EQ(kv.committed_tokens(), 0);  // Reserve returned on swap-out.
   EXPECT_EQ(kv.counters().preempt_swap, 1);
@@ -286,11 +285,11 @@ TEST(KvControllerTest, SwapLedgerModelsPcieTime) {
 
   SimDuration in = 0;
   KvController::SeqId restored = kv.BeginSwapIn(100, 0, 50, /*skew=*/0, &in);
-  EXPECT_EQ(in, 500);
+  EXPECT_EQ(in, 520);
   EXPECT_EQ(kv.SeqTokens(restored), 100);
   EXPECT_EQ(kv.committed_reserve_tokens(), 50);
   EXPECT_EQ(kv.counters().swap_ins, 1);
-  EXPECT_DOUBLE_EQ(kv.counters().swap_transfer_us, 1000.0);
+  EXPECT_DOUBLE_EQ(kv.counters().swap_transfer_us, 1040.0);
   kv.ReleaseSeq(restored);
   EXPECT_TRUE(kv.CheckConsistency());
 }

@@ -18,7 +18,9 @@ namespace {
 struct SweepConfig {
   int64_t kv_capacity;
   int max_running;
-  int64_t prefill_chunk;
+  // Upper bound on the fresh prompt tokens each request appends; above
+  // kMaxPrefillTokensPerStep, prompts prefill over several steps.
+  int64_t max_fresh_tokens;
   double share_probability;  // Chance a request reuses another's prefix.
 };
 
@@ -31,7 +33,6 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
   ReplicaConfig config;
   config.kv_capacity_tokens = sweep.kv_capacity;
   config.max_running_requests = sweep.max_running;
-  config.max_prefill_tokens_per_step = sweep.prefill_chunk;
   Replica replica(&sim, 0, 0, config);
 
   Rng rng(seed);
@@ -51,7 +52,7 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
           rng.UniformInt(0, static_cast<int64_t>(prior_prompts.size()) - 1))];
       req.prompt = base;
     }
-    int64_t extra = rng.UniformInt(8, 400);
+    int64_t extra = rng.UniformInt(8, sweep.max_fresh_tokens);
     for (int64_t k = 0; k < extra; ++k) {
       req.prompt.push_back(fresh++);
     }
@@ -117,11 +118,11 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, ReplicaSweepTest,
     ::testing::Combine(
         ::testing::Values(
-            SweepConfig{49152, 64, 1024, 0.5},   // Default L4.
-            SweepConfig{4096, 64, 1024, 0.5},    // Memory-starved.
-            SweepConfig{49152, 4, 1024, 0.5},    // Slot-starved.
-            SweepConfig{8192, 16, 128, 0.8},     // Tiny chunks, heavy reuse.
-            SweepConfig{8192, 16, 4096, 0.0}),   // No sharing at all.
+            SweepConfig{49152, 64, 400, 0.5},    // Default L4.
+            SweepConfig{4096, 64, 400, 0.5},     // Memory-starved.
+            SweepConfig{49152, 4, 400, 0.5},     // Slot-starved.
+            SweepConfig{49152, 16, 3000, 0.8},   // Multi-chunk, heavy reuse.
+            SweepConfig{8192, 16, 400, 0.0}),    // No sharing at all.
         ::testing::Values(1u, 2u, 3u)));
 
 TEST(ReplicaEdgeCaseTest, SingleTokenOutput) {
@@ -141,12 +142,12 @@ TEST(ReplicaEdgeCaseTest, SingleTokenOutput) {
 
 TEST(ReplicaEdgeCaseTest, PromptLargerThanPrefillChunk) {
   Simulator sim;
-  ReplicaConfig config;
-  config.max_prefill_tokens_per_step = 64;
+  const ReplicaConfig config;
   Replica replica(&sim, 0, 0, config);
   SimTime first = -1;
   Request req;
-  for (Token t = 0; t < 1000; ++t) {
+  const int64_t kPromptTokens = 4 * kMaxPrefillTokensPerStep;
+  for (Token t = 0; t < kPromptTokens; ++t) {
     req.prompt.push_back(t);
   }
   req.output = {5000, 5001};
@@ -155,8 +156,10 @@ TEST(ReplicaEdgeCaseTest, PromptLargerThanPrefillChunk) {
   handlers.on_first_token = [&](const Request&, int64_t) { first = sim.now(); };
   replica.Enqueue(std::move(req), std::move(handlers));
   sim.Run();
-  // 1000 tokens / 64-token chunks = 16 steps minimum before first token.
-  EXPECT_GT(first, 16 * Milliseconds(20));
+  // Four full chunks: the prompt's prefill pays four step bases, not one.
+  const double prefill_us =
+      static_cast<double>(kPromptTokens) * config.prefill_us_per_token;
+  EXPECT_GE(first, static_cast<SimTime>(4 * config.step_base_us + prefill_us));
 }
 
 TEST(ReplicaEdgeCaseTest, HugePromptForceAdmitted) {

@@ -32,9 +32,6 @@ OutlierConfig Resilience() {
   OutlierConfig outlier;
   outlier.enabled = true;
   outlier.request_timeout = Seconds(8);
-  outlier.probe_timeout = Seconds(1);
-  outlier.consecutive_failures = 3;
-  outlier.latency_factor = 3.0;
   outlier.base_ejection_time = Seconds(5);
   return outlier;
 }
@@ -95,8 +92,8 @@ TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
   FleetSpec base = SmallFleet();
   base.num_shards = 4;
   base.num_threads = 4;
-  // Enough clients that the straggler takes traffic and at least
-  // min_latency_hosts replicas report decode samples; enough drain that its
+  // Enough clients that the straggler takes traffic and the three replicas
+  // latency detection needs report decode samples; enough drain that its
   // 8x-held victims finish inside the run.
   base.clients_per_region = 4;
   base.drain = Seconds(90);

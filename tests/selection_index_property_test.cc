@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,10 +97,6 @@ DispatchConfig RandomConfig(Rng& rng) {
     config.min_free_block_fraction = rng.Uniform(0.0, 0.6);
   }
   config.outlier.enabled = true;
-  // 0 makes degraded/healthy load ties common — the interesting case for
-  // tie-break agreement.
-  config.outlier.degraded_load_penalty =
-      rng.UniformInt(0, 1) == 1 ? 0.0 : rng.Uniform(0.5, 10.0);
   return config;
 }
 
@@ -114,7 +111,11 @@ void MutateOne(Rng& rng, Fleet& fleet) {
   ASSERT_NE(state, nullptr);
   switch (rng.UniformInt(0, 5)) {
     case 0:  // Push / completion: the dominant steady-state mutation.
-      state->outstanding = static_cast<int>(rng.UniformInt(0, 8));
+      // Loads up to twice the degraded penalty make degraded/healthy ties
+      // (healthy load == degraded load + kDegradedLoadPenalty) common — the
+      // interesting case for tie-break agreement.
+      state->outstanding = static_cast<int>(
+          rng.UniformInt(0, static_cast<int64_t>(2 * kDegradedLoadPenalty)));
       break;
     case 1: {  // Probe response landed.
       state->probed_once = true;
@@ -129,12 +130,11 @@ void MutateOne(Rng& rng, Fleet& fleet) {
       break;
     case 3: {  // Health walk: failure/ejection/recovery edges.
       OutlierConfig outlier;
-      outlier.consecutive_failures = 2;
       switch (state->health.status()) {
         case HealthStatus::kHealthy:
         case HealthStatus::kDegraded:
           if (rng.UniformInt(0, 1) == 1) {
-            if (state->health.RecordFailure(outlier)) {
+            if (state->health.RecordFailure()) {
               state->health.Eject(outlier, fleet.sim.now());
             }
           } else {
@@ -179,7 +179,33 @@ void ExpectIndexedMatchesOracle(Fleet& fleet) {
   EXPECT_EQ(indexed, oracle);
 }
 
+// True when the least-loaded available replicas include both a healthy one
+// and a degraded or half-open one: the tie kDegradedLoadPenalty creates,
+// which the index must break exactly like the oracle.
+bool MixedHealthTieAtMinimum(const Fleet& fleet) {
+  double min_load = std::numeric_limits<double>::infinity();
+  bool healthy = false;
+  bool deprioritized = false;
+  for (const ReplicaState& state : fleet.engine->replicas()) {
+    if (!fleet.engine->IsAvailable(state)) {
+      continue;
+    }
+    const double load = fleet.engine->EffectiveLoadOf(state);
+    if (load < min_load) {
+      min_load = load;
+      healthy = false;
+      deprioritized = false;
+    }
+    if (load == min_load) {
+      (state.health.status() == HealthStatus::kHealthy ? healthy
+                                                       : deprioritized) = true;
+    }
+  }
+  return healthy && deprioritized;
+}
+
 TEST(SelectionIndexPropertyTest, MatchesLinearOracleUnderRandomTraces) {
+  int mixed_health_ties = 0;
   for (const int fleet_size : {1, 2, 3, 8, 33, 128}) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
       SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size) +
@@ -209,9 +235,12 @@ TEST(SelectionIndexPropertyTest, MatchesLinearOracleUnderRandomTraces) {
           fleet.Attach();
         }
         ExpectIndexedMatchesOracle(fleet);
+        mixed_health_ties += MixedHealthTieAtMinimum(fleet) ? 1 : 0;
       }
     }
   }
+  // The traces must reach the interesting case, not only trivial ones.
+  EXPECT_GT(mixed_health_ties, 0);
 }
 
 TEST(SelectionIndexPropertyTest, HeapCompactionPreservesAgreement) {

@@ -118,30 +118,40 @@ TEST(SkyWalkerLbTest, ForwardsWhenAllLocalReplicasFull) {
 }
 
 TEST(SkyWalkerLbTest, ForwardedRequestsAreTerminal) {
-  // Both regions overloaded: forwarded requests must wait at the remote LB
-  // rather than bounce back (no forwarding loops).
+  // Region B is overloaded while region A sits idle and available. B
+  // offloads its own clients' overflow to A, but requests another region
+  // already forwarded into B must wait there (no forwarding loops).
   SkyWalkerConfig config;
   config.engine.push_slack = 1;
-  config.routing.queue_tau = 100;  // Keep peers "available" despite queues.
   ReplicaConfig rconfig;
   rconfig.kv_capacity_tokens = 900;
   rconfig.output_reserve_tokens = 256;
-  TwoRegionBench bench(config, rconfig);
-  bench.sim.RunFor(Milliseconds(300));
-
-  int completed = 0;
-  RequestCallbacks callbacks;
-  callbacks.on_complete = [&](const RequestOutcome&) { ++completed; };
-  for (int i = 0; i < 20; ++i) {
-    bench.lb_a->HandleRequest(
-        MakeRequest(static_cast<RequestId>(i), 300, 150, "k",
-                    static_cast<Token>(i) * 10000),
-        callbacks);
-  }
-  bench.sim.RunFor(Seconds(600));
-  EXPECT_EQ(completed, 20);
-  // A request forwarded A->B must never produce hops > 2.
-  EXPECT_EQ(bench.lb_b->stats().forwarded_out, 0)
+  // Floods B with 20 requests, as client requests or as requests forwarded
+  // in from A, and returns how many B forwarded out.
+  auto flood_b = [&](bool forwarded_in) {
+    TwoRegionBench bench(config, rconfig);
+    bench.sim.RunFor(Milliseconds(300));
+    int completed = 0;
+    RequestCallbacks callbacks;
+    callbacks.on_complete = [&](const RequestOutcome&) { ++completed; };
+    for (int i = 0; i < 20; ++i) {
+      Request req = MakeRequest(static_cast<RequestId>(i), 300, 150, "k",
+                                static_cast<Token>(i) * 10000,
+                                /*client_region=*/1);
+      if (forwarded_in) {
+        bench.lb_b->HandleForwarded(std::move(req), callbacks,
+                                    /*origin_lb_region=*/0);
+      } else {
+        bench.lb_b->HandleRequest(std::move(req), callbacks);
+      }
+    }
+    bench.sim.RunFor(Seconds(600));
+    EXPECT_EQ(completed, 20);
+    return bench.lb_b->stats().forwarded_out;
+  };
+  EXPECT_GT(flood_b(/*forwarded_in=*/false), 0)
+      << "B's own overflow should offload to idle A";
+  EXPECT_EQ(flood_b(/*forwarded_in=*/true), 0)
       << "forwarded-in requests must not be re-forwarded";
 }
 
@@ -378,10 +388,11 @@ TEST(SkyWalkerLbTest, DetachReplicaStopsRouting) {
 }
 
 TEST(SkyWalkerLbTest, QueueTauGatesPeerAvailability) {
-  // Peer with a long queue must not be considered available even if it has
-  // a free replica slot momentarily.
+  // Listing 1 line 12: a peer is available only while its queue, plus the
+  // forwards sent to it since the last peer probe, is within τ. An idle
+  // peer (empty queue) therefore takes exactly kQueueTau + 1 requests in
+  // the first offload burst; the rest wait for a fresh peer probe.
   SkyWalkerConfig config;
-  config.routing.queue_tau = 0;  // Strictest buffer.
   config.engine.push_slack = 1;
   ReplicaConfig rconfig;
   rconfig.kv_capacity_tokens = 1024;
@@ -391,28 +402,22 @@ TEST(SkyWalkerLbTest, QueueTauGatesPeerAvailability) {
   int completed = 0;
   RequestCallbacks callbacks;
   callbacks.on_complete = [&](const RequestOutcome&) { ++completed; };
-  // Saturate B directly first.
-  for (int i = 0; i < 8; ++i) {
-    bench.lb_b->HandleRequest(
-        MakeRequest(static_cast<RequestId>(100 + i), 300, 150, "kb",
-                    static_cast<Token>(i) * 20000, 1),
-        callbacks);
-  }
-  bench.sim.RunFor(Milliseconds(300));
-  size_t b_queue = bench.lb_b->QueueSize();
-  // Now overload A; with tau=0 and B's queue non-empty, A must keep work.
-  for (int i = 0; i < 8; ++i) {
+  const int kRequests = 16;
+  for (int i = 0; i < kRequests; ++i) {
     bench.lb_a->HandleRequest(
         MakeRequest(static_cast<RequestId>(i), 300, 150, "ka",
                     static_cast<Token>(i) * 30000),
         callbacks);
   }
-  bench.sim.RunFor(Milliseconds(500));
-  if (b_queue > 0) {
-    EXPECT_EQ(bench.lb_a->stats().forwarded_out, 0);
+  // The burst leaves A at one instant, so it lands in B at one instant.
+  while (bench.lb_b->stats().received_forwarded == 0 &&
+         bench.sim.now() < Seconds(10)) {
+    bench.sim.RunFor(Milliseconds(1));
   }
+  EXPECT_EQ(bench.lb_b->stats().received_forwarded,
+            static_cast<int64_t>(kQueueTau) + 1);
   bench.sim.RunFor(Seconds(600));
-  EXPECT_EQ(completed, 16);
+  EXPECT_EQ(completed, kRequests);
 }
 
 }  // namespace
