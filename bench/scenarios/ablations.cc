@@ -239,6 +239,7 @@ Scenario MakeAblationHeterogeneousScenario() {
       std::vector<std::unique_ptr<ConversationClient>> clients;
       const int num_clients = options.smoke ? 35 : 140;
       for (int i = 0; i < num_clients; ++i) {
+        client_config.request_id_base = static_cast<RequestId>(i + 1) << 32;
         clients.push_back(std::make_unique<ConversationClient>(
             &sim, &net, &resolver, &gen, &metrics, 0, client_config,
             MixSeed(7000 + static_cast<uint64_t>(i), options.seed_stream)));

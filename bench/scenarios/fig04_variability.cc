@@ -92,7 +92,6 @@ Scenario MakeFig04bRrImbalanceScenario() {
 
           ReplicaConfig rconfig;
           rconfig.kv_capacity_tokens = 16384;
-          rconfig.memory_sample_every_steps = 2;
           Replica replica_a(&sim, 0, 0, rconfig);
           Replica replica_b(&sim, 1, 0, rconfig);
 
@@ -102,6 +101,16 @@ Scenario MakeFig04bRrImbalanceScenario() {
           lb.AttachReplica(&replica_a);
           lb.AttachReplica(&replica_b);
           lb.Start();
+
+          // Both replicas' active KV utilization at each of the 8 row times.
+          const SimTime step = horizon / 8;
+          std::vector<std::pair<double, double>> utilization;
+          for (SimTime when = step; when <= horizon; when += step) {
+            sim.ScheduleAt(when, [&] {
+              utilization.emplace_back(replica_a.active_memory_utilization(),
+                                       replica_b.active_memory_utilization());
+            });
+          }
 
           // Open-loop arrivals with WildChat-like length variance (the
           // figure's time axis). The rate keeps replicas in the
@@ -138,22 +147,10 @@ Scenario MakeFig04bRrImbalanceScenario() {
           }
           sim.RunUntil(horizon);
 
-          auto utilization_at = [](const Replica& replica, SimTime when) {
-            double last = 0;
-            for (const auto& [ts, util] : replica.memory_series()) {
-              if (ts > when) {
-                break;
-              }
-              last = util;
-            }
-            return last;
-          };
-
           std::vector<MetricRow> rows;
-          const SimTime step = horizon / 8;
-          for (SimTime when = step; when <= horizon; when += step) {
-            double a = utilization_at(replica_a, when);
-            double b = utilization_at(replica_b, when);
+          SimTime when = 0;
+          for (const auto& [a, b] : utilization) {
+            when += step;
             double hi = std::max(a, b);
             double lo = std::max(0.02, std::min(a, b));
             MetricRow row;

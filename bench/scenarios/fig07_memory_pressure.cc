@@ -168,6 +168,7 @@ MetricRow RunCase(const MemoryCase& mc, const ScenarioOptions& options) {
   // capacity, not concurrency.
   const int num_clients = mc.saturate ? kSaturationClients : base_clients;
   for (int i = 0; i < num_clients; ++i) {
+    client_config.request_id_base = static_cast<RequestId>(i + 1) << 32;
     clients.push_back(std::make_unique<ToTClient>(
         &sim, &net, &resolver, &generator, &metrics, 0, client_config,
         MixSeed(1700 + static_cast<uint64_t>(i), options.seed_stream)));

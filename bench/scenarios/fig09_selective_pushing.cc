@@ -92,6 +92,7 @@ MetricRow RunPushMode(PushMode mode, const std::string& label,
   std::vector<std::unique_ptr<ToTClient>> clients;
   const int num_clients = options.smoke ? kClients / 4 : kClients;
   for (int i = 0; i < num_clients; ++i) {
+    client_config.request_id_base = static_cast<RequestId>(i + 1) << 32;
     clients.push_back(std::make_unique<ToTClient>(
         &sim, &net, &resolver, &generator, &metrics, 0, client_config,
         MixSeed(1000 + static_cast<uint64_t>(i), options.seed_stream)));

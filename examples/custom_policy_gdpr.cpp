@@ -59,6 +59,8 @@ void RunPhase(const char* title, int us_clients, int eu_clients) {
   std::vector<std::unique_ptr<ConversationClient>> clients;
   auto add_clients = [&](RegionId region, int count) {
     for (int i = 0; i < count; ++i) {
+      client_config.request_id_base =
+          static_cast<RequestId>(clients.size() + 1) << 32;
       clients.push_back(std::make_unique<ConversationClient>(
           &sim, &net, deployment->resolver(), &generator, &metrics, region,
           client_config, 3000 + clients.size()));

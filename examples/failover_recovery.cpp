@@ -31,6 +31,8 @@ int main() {
   std::vector<std::unique_ptr<ConversationClient>> clients;
   for (RegionId region = 0; region < 3; ++region) {
     for (int i = 0; i < 8; ++i) {
+      client_config.request_id_base =
+          static_cast<RequestId>(clients.size() + 1) << 32;
       clients.push_back(std::make_unique<ConversationClient>(
           &sim, &net, deployment->resolver(), &generator, &metrics, region,
           client_config, 900 + clients.size()));

@@ -54,6 +54,8 @@ int main() {
     ClientConfig window_config = client_config;
     window_config.stop_issuing_after = wake + kHour * 10;
     for (int i = 0; i < kClientsPerRegion; ++i) {
+      window_config.request_id_base =
+          static_cast<RequestId>(clients.size() + 1) << 32;
       clients.push_back(std::make_unique<ConversationClient>(
           &sim, &net, deployment->resolver(), &generator, &metrics, region,
           window_config, 500 + clients.size()));

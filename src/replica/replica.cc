@@ -15,6 +15,9 @@ namespace {
 // adding batch slots stops paying (as on a real L4).
 constexpr double kDecodeUsPerContextToken = 0.5;
 
+// Engine steps between two kMemSample trace records.
+constexpr int64_t kMemSampleEverySteps = 4;
+
 }  // namespace
 
 Replica::Replica(Simulator* sim, ReplicaId id, RegionId region,
@@ -563,17 +566,10 @@ void Replica::SampleMemory() {
   stats_.peak_memory_utilization =
       std::max(stats_.peak_memory_utilization, memory_utilization());
   kv_.NoteFragmentationSample(fragmentation_tokens());
-  if (config_.memory_sample_every_steps <= 0) {
-    return;
-  }
-  if (stats_.engine_steps %
-          static_cast<int64_t>(config_.memory_sample_every_steps) ==
-      0) {
-    memory_series_.emplace_back(sim_->now(), active_memory_utilization());
-    if (Tracer* t = sim_->tracer()) {
-      EmitTrace(t, sim_->now(), TraceEventType::kMemSample, region_, id_, -1,
-                kv_.free_blocks(), running_count(), memory_utilization());
-    }
+  if (Tracer* t = sim_->tracer();
+      t != nullptr && stats_.engine_steps % kMemSampleEverySteps == 0) {
+    EmitTrace(t, sim_->now(), TraceEventType::kMemSample, region_, id_, -1,
+              kv_.free_blocks(), running_count(), memory_utilization());
   }
 }
 

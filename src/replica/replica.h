@@ -74,9 +74,6 @@ struct ReplicaConfig {
   double prefill_us_per_token = 550.0;
   double decode_us_per_seq = 400.0;
 
-  // Record a memory-utilization sample every N engine steps (0 disables).
-  int memory_sample_every_steps = 4;
-
   // --- paged KV memory (src/memory/, ISSUE 4/5) ------------------------
   // Page size in tokens. 1 = coarse compatibility mode (seed-identical
   // token-granular accounting); real engines use 16 or 32.
@@ -242,11 +239,6 @@ class Replica {
   const Stats& stats() const { return stats_; }
   const KvController& kv() const { return kv_; }
 
-  // (time, utilization in [0,1]) samples for memory time-series figures.
-  const std::vector<std::pair<SimTime, double>>& memory_series() const {
-    return memory_series_;
-  }
-
   // Drops all queued and running work (used by failure-injection tests).
   // Running requests vanish without callbacks, like a crashed engine.
   void Crash();
@@ -371,7 +363,6 @@ class Replica {
   bool watermark_reject_id_valid_ = false;
 
   Stats stats_;
-  std::vector<std::pair<SimTime, double>> memory_series_;
 };
 
 // Token-weighted prefix-cache hit rate across `replicas` (0 before any

@@ -697,115 +697,95 @@ void DispatchEngine::ProbeAll() {
   if (config_.outlier.enabled) {
     EvaluateOutliers();
   }
-  // Batched fan-out: with the outlier machinery off (its
-  // per-replica timeout events interleave sender keys), the per-replica
-  // probe round trips coalesce into one event per destination region in
-  // each direction. This is byte-identical to the
-  // per-replica path: within one destination the per-replica work runs in
-  // attach order, exactly the order the individual events would have
+  // Batched fan-out: the per-replica probe round trips coalesce into one
+  // event per destination region in each direction. This is byte-identical
+  // to per-replica sends: within one destination the per-replica work runs
+  // in attach order, exactly the order the individual events would have
   // executed (they carry consecutive sender keys at one timestamp, which
   // admit no interleaving event); across destinations ordering is governed
   // by (time, origin region) both ways; and per-origin response keys are
   // assigned in the same order, so downstream ordering is unchanged.
-  // Message counters advance per logical message (SendBatch).
-  if (!config_.outlier.enabled && !replicas_.empty()) {
-    struct ProbeTarget {
-      Replica* replica;
-      int64_t epoch;
-    };
-    struct ProbeReply {
-      ReplicaId id;
-      int64_t epoch;
-      ProbePayload payload;
-    };
-    // Group targets by destination region in first-appearance (attach)
-    // order; almost always a single group (engines manage local replicas).
-    std::vector<std::pair<RegionId, std::vector<ProbeTarget>>> groups;
-    for (ReplicaState& state : replicas_) {
-      ++stats_.probes_sent;
-      const int64_t epoch = ++state.probe_epoch_sent;
-      const RegionId dst = state.replica->region();
-      std::vector<ProbeTarget>* bucket = nullptr;
-      for (auto& group : groups) {
-        if (group.first == dst) {
-          bucket = &group.second;
-          break;
-        }
-      }
-      if (bucket == nullptr) {
-        groups.emplace_back(dst, std::vector<ProbeTarget>());
-        bucket = &groups.back().second;
-        bucket->reserve(replicas_.size());
-      }
-      bucket->push_back(ProbeTarget{state.replica, epoch});
-    }
-    for (auto& group : groups) {
-      const RegionId dst = group.first;
-      // The count must be read before the capture moves the vector out
-      // (argument evaluation order is unspecified).
-      const int fanout = static_cast<int>(group.second.size());
-      net_->SendBatch(
-          region_, dst, fanout,
-          [this, dst, targets = std::move(group.second)] {
-            // A non-serving (crashed) replica never answers; with the
-            // outlier machinery off its silence is simply ignored, as in
-            // the per-replica path.
-            std::vector<ProbeReply> replies;
-            replies.reserve(targets.size());
-            for (const ProbeTarget& target : targets) {
-              if (!target.replica->serving()) {
-                continue;
-              }
-              replies.push_back(ProbeReply{target.replica->id(), target.epoch,
-                                           target.replica->Probe()});
-            }
-            if (replies.empty()) {
-              return;
-            }
-            const int respondents = static_cast<int>(replies.size());
-            net_->SendBatch(dst, region_, respondents,
-                            [this, replies = std::move(replies)] {
-                              for (const ProbeReply& reply : replies) {
-                                ApplyProbeResponse(reply.id, reply.epoch,
-                                                   reply.payload);
-                              }
-                            });
-          });
-    }
-    if (callbacks_.on_after_replica_probes) {
-      callbacks_.on_after_replica_probes();
-    }
-    return;
-  }
-  // Per-replica round trips: outlier detection is on, so each probe arms
-  // its own miss timeout.
+  // Message counters advance per logical message (SendBatch). Likewise the
+  // per-probe miss timeouts, all due at one instant, collapse into one
+  // event that checks every target in attach order.
+  struct ProbeTarget {
+    Replica* replica;
+    int64_t epoch;
+  };
+  struct ProbeReply {
+    ReplicaId id;
+    int64_t epoch;
+    ProbePayload payload;
+  };
+  // Group targets by destination region in first-appearance (attach)
+  // order; almost always a single group (engines manage local replicas).
+  std::vector<std::pair<RegionId, std::vector<ProbeTarget>>> groups;
+  // Outlier detection only: (replica, epoch) in attach order.
+  std::vector<std::pair<ReplicaId, int64_t>> armed;
   for (ReplicaState& state : replicas_) {
     ++stats_.probes_sent;
-    Replica* replica = state.replica;
-    RegionId replica_region = replica->region();
-    ReplicaId replica_id = replica->id();
-    const int64_t epoch = ++state.probe_epoch_sent;
-    // Probe round trip: LB -> replica (read the probe payload) -> LB. A
-    // non-serving (crashed) replica never answers; the probe-timeout event
-    // below converts its silence into a health failure.
-    net_->Send(region_, replica_region, [this, replica, replica_id,
-                                         replica_region, epoch] {
-      if (!replica->serving()) {
-        return;
+    const ProbeTarget target{state.replica, ++state.probe_epoch_sent};
+    const RegionId dst = target.replica->region();
+    std::vector<ProbeTarget>* bucket = nullptr;
+    for (auto& group : groups) {
+      if (group.first == dst) {
+        bucket = &group.second;
+        break;
       }
-      ProbePayload payload = replica->Probe();
-      net_->Send(replica_region, region_, [this, replica_id, payload, epoch] {
-        ApplyProbeResponse(replica_id, epoch, payload);
-      });
-    });
-    sim_->ScheduleAfter(kProbeTimeout, [this, replica_id, epoch] {
-      ReplicaState* rs = FindReplica(replica_id);
-      if (rs == nullptr || rs->probe_epoch_received >= epoch) {
-        return;
+    }
+    if (bucket == nullptr) {
+      groups.emplace_back(dst, std::vector<ProbeTarget>());
+      bucket = &groups.back().second;
+      bucket->reserve(replicas_.size());
+    }
+    bucket->push_back(target);
+    if (config_.outlier.enabled) {
+      armed.emplace_back(target.replica->id(), target.epoch);
+    }
+  }
+  for (auto& group : groups) {
+    const RegionId dst = group.first;
+    // The count must be read before the capture moves the vector out
+    // (argument evaluation order is unspecified).
+    const int fanout = static_cast<int>(group.second.size());
+    net_->SendBatch(
+        region_, dst, fanout,
+        [this, dst, targets = std::move(group.second)] {
+          // A non-serving (crashed) replica never answers; the miss
+          // timeout below turns its silence into a health failure.
+          std::vector<ProbeReply> replies;
+          replies.reserve(targets.size());
+          for (const ProbeTarget& target : targets) {
+            if (!target.replica->serving()) {
+              continue;
+            }
+            replies.push_back(ProbeReply{target.replica->id(), target.epoch,
+                                         target.replica->Probe()});
+          }
+          if (replies.empty()) {
+            return;
+          }
+          const int respondents = static_cast<int>(replies.size());
+          net_->SendBatch(dst, region_, respondents,
+                          [this, replies = std::move(replies)] {
+                            for (const ProbeReply& reply : replies) {
+                              ApplyProbeResponse(reply.id, reply.epoch,
+                                                 reply.payload);
+                            }
+                          });
+        });
+  }
+  if (!armed.empty()) {
+    sim_->ScheduleAfter(kProbeTimeout, [this, armed = std::move(armed)] {
+      for (const auto& [replica_id, epoch] : armed) {
+        ReplicaState* rs = FindReplica(replica_id);
+        if (rs == nullptr || rs->probe_epoch_received >= epoch) {
+          continue;
+        }
+        ++stats_.probe_misses;
+        NoteReplicaFailure(*rs);
+        TouchReplica(*rs);
       }
-      ++stats_.probe_misses;
-      NoteReplicaFailure(*rs);
-      TouchReplica(*rs);
     });
   }
   if (callbacks_.on_after_replica_probes) {

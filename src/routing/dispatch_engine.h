@@ -373,8 +373,7 @@ class DispatchEngine {
   void DispatchTo(Queued queued, ReplicaId replica_id);
   void ProbeAll();
   // One probe response landing at the LB: refresh the replica's probed
-  // snapshot + index entry, then dispatch. Shared verbatim by the
-  // per-replica and batched fan-out paths so they cannot diverge.
+  // snapshot + index entry, then dispatch.
   void ApplyProbeResponse(ReplicaId replica_id, int64_t epoch,
                           const ProbePayload& payload);
   // Latency-outlier pass over the fleet, run at each probe tick when

@@ -1,21 +1,11 @@
 #include "src/workload/client.h"
 
-#include <atomic>
 #include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/trace.h"
 
 namespace skywalker {
-
-RequestId NextRequestId() {
-  // Atomic because skybench runs independent simulator cells on a thread
-  // pool. Ids only label requests (no routing or ordering decision reads
-  // them), so cross-cell allocation order does not affect results — the
-  // determinism tests verify byte-identical output across thread counts.
-  static std::atomic<RequestId> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 void SubmitViaNetwork(Network* net, RegionId client_region, Frontend* frontend,
                       Request req, RequestCallbacks callbacks) {
@@ -46,6 +36,8 @@ ConversationClient::ConversationClient(
       region_(region),
       config_(config),
       rng_(seed) {
+  SKYWALKER_CHECK(config_.request_id_base != 0)
+      << "every client needs a private request-id band";
   user_ = generator_->MakeUser(region_);
   next_request_id_ = config_.request_id_base;
 }
@@ -72,7 +64,7 @@ void ConversationClient::IssueTurn() {
   }
   const auto& turn = current_.turns[next_turn_];
   Request req;
-  req.id = config_.request_id_base == 0 ? NextRequestId() : next_request_id_++;
+  req.id = next_request_id_++;
   req.user_id = user_.user_id;
   req.session_id = current_.session_id;
   req.client_region = region_;
@@ -130,6 +122,8 @@ ToTClient::ToTClient(Simulator* sim, Network* net, FrontendResolver* resolver,
       region_(region),
       config_(config),
       rng_(seed) {
+  SKYWALKER_CHECK(config_.request_id_base != 0)
+      << "every client needs a private request-id band";
   user_id_ = static_cast<UserId>(rng_.Next() >> 1);
   next_request_id_ = config_.request_id_base;
 }
@@ -160,8 +154,7 @@ void ToTClient::IssueLevel() {
   for (int node_idx : level) {
     const auto& node = current_.nodes[static_cast<size_t>(node_idx)];
     Request req;
-    req.id =
-        config_.request_id_base == 0 ? NextRequestId() : next_request_id_++;
+    req.id = next_request_id_++;
     req.user_id = user_id_;
     req.session_id = current_.session_id;
     req.client_region = region_;

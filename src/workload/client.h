@@ -31,9 +31,6 @@ class MetricsSink {
   virtual void RecordOutcome(const RequestOutcome& outcome) = 0;
 };
 
-// Globally unique request ids (single-threaded simulation).
-RequestId NextRequestId();
-
 // Stamps submit_time and delivers the request to the frontend after the
 // client→frontend one-way latency.
 void SubmitViaNetwork(Network* net, RegionId client_region, Frontend* frontend,
@@ -43,10 +40,10 @@ struct ClientConfig {
   SimDuration think_time_mean = Seconds(2);        // Between turns.
   SimDuration program_gap_mean = Seconds(3);       // Between programs.
   SimTime stop_issuing_after = kSimTimeMax;        // No new requests after.
-  // Nonzero: the client draws ids from its own private range starting here
-  // instead of the global atomic counter — required for run-to-run
-  // determinism when clients execute on parallel simulator shards. Ranges
-  // of distinct clients must not overlap.
+  // Required (CHECKed nonzero): the client draws ids from its own private
+  // range starting here, so ids depend neither on shard interleaving nor on
+  // other cells running in the same process. Ranges of distinct clients
+  // must not overlap; harnesses give client i the band (i + 1) << 32.
   RequestId request_id_base = 0;
 };
 
@@ -102,7 +99,7 @@ class ConversationClient : public ClosedLoopClient {
 
   ConversationGenerator::UserProfile user_;
   ConversationGenerator::Conversation current_;
-  RequestId next_request_id_ = 0;  // Private-range mode only.
+  RequestId next_request_id_ = 0;
   size_t next_turn_ = 0;
   size_t completed_conversations_ = 0;
 };
@@ -137,7 +134,7 @@ class ToTClient : public ClosedLoopClient {
 
   UserId user_id_;
   std::string routing_key_base_;
-  RequestId next_request_id_ = 0;  // Private-range mode only.
+  RequestId next_request_id_ = 0;
   ToTGenerator::Tree current_;
   int current_level_ = 0;
   size_t level_pending_ = 0;

@@ -67,6 +67,13 @@ class CountingSink : public MetricsSink {
   std::vector<RequestOutcome> outcomes;
 };
 
+// The first client's private request-id band: (i + 1) << 32 for i = 0.
+ClientConfig BandedConfig() {
+  ClientConfig config;
+  config.request_id_base = RequestId{1} << 32;
+  return config;
+}
+
 struct ClientBench {
   Simulator sim;
   Topology topology;
@@ -86,7 +93,7 @@ struct ClientBench {
 TEST(ConversationClientTest, IssuesTurnsSequentially) {
   ClientBench bench;
   ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 5);
-  ClientConfig config;
+  ClientConfig config = BandedConfig();
   config.think_time_mean = Milliseconds(200);
   config.program_gap_mean = Milliseconds(200);
   ConversationClient client(&bench.sim, bench.net.get(), bench.resolver.get(),
@@ -107,7 +114,7 @@ TEST(ConversationClientTest, IssuesTurnsSequentially) {
 TEST(ConversationClientTest, TurnPromptsGrowWithinConversation) {
   ClientBench bench;
   ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 6);
-  ClientConfig config;
+  ClientConfig config = BandedConfig();
   config.think_time_mean = Milliseconds(100);
   ConversationClient client(&bench.sim, bench.net.get(), bench.resolver.get(),
                             &gen, &bench.sink, 0, config, 10);
@@ -128,7 +135,7 @@ TEST(ConversationClientTest, TurnPromptsGrowWithinConversation) {
 TEST(ConversationClientTest, RetriesAfterError) {
   ClientBench bench;
   ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 7);
-  ClientConfig config;
+  ClientConfig config = BandedConfig();
   config.think_time_mean = Milliseconds(100);
   ConversationClient client(&bench.sim, bench.net.get(), bench.resolver.get(),
                             &gen, &bench.sink, 0, config, 11);
@@ -144,7 +151,7 @@ TEST(ConversationClientTest, RetriesAfterError) {
 TEST(ConversationClientTest, StopsIssuingAfterDeadline) {
   ClientBench bench;
   ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 8);
-  ClientConfig config;
+  ClientConfig config = BandedConfig();
   config.think_time_mean = Milliseconds(100);
   config.stop_issuing_after = Seconds(5);
   ConversationClient client(&bench.sim, bench.net.get(), bench.resolver.get(),
@@ -162,7 +169,7 @@ TEST(ToTClientTest, IssuesLevelsAsBarriers) {
   tot.depth = 3;
   tot.branching = 2;  // Levels of 1, 2, 4 -> 7 requests per tree.
   ToTGenerator gen(tot, 13);
-  ClientConfig config;
+  ClientConfig config = BandedConfig();
   config.program_gap_mean = Milliseconds(100);
   ToTClient client(&bench.sim, bench.net.get(), bench.resolver.get(), &gen,
                    &bench.sink, 0, config, 14);
@@ -193,7 +200,7 @@ TEST(ToTClientTest, CompletesTreesBackToBack) {
   tot.depth = 2;
   tot.branching = 2;  // 3 requests per tree.
   ToTGenerator gen(tot, 15);
-  ClientConfig config;
+  ClientConfig config = BandedConfig();
   config.program_gap_mean = Milliseconds(50);
   ToTClient client(&bench.sim, bench.net.get(), bench.resolver.get(), &gen,
                    &bench.sink, 0, config, 16);
@@ -203,12 +210,30 @@ TEST(ToTClientTest, CompletesTreesBackToBack) {
   EXPECT_EQ(client.completed_requests(), client.completed_trees() * 3);
 }
 
-TEST(RequestIdTest, MonotonicallyUnique) {
-  RequestId a = NextRequestId();
-  RequestId b = NextRequestId();
-  RequestId c = NextRequestId();
-  EXPECT_LT(a, b);
-  EXPECT_LT(b, c);
+TEST(RequestIdTest, ClientDrawsConsecutiveIdsFromItsBand) {
+  ClientBench bench;
+  ToTConfig tot;
+  tot.depth = 2;
+  tot.branching = 2;
+  ToTGenerator gen(tot, 17);
+  ToTClient client(&bench.sim, bench.net.get(), bench.resolver.get(), &gen,
+                   &bench.sink, 0, BandedConfig(), 18);
+  client.Start();
+  bench.sim.RunUntil(Seconds(5));
+  const auto& arrivals = bench.frontend->arrivals;
+  ASSERT_GE(arrivals.size(), 3u);
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    EXPECT_EQ(arrivals[i].id, (RequestId{1} << 32) + i);
+  }
+}
+
+TEST(RequestIdDeathTest, ClientWithoutBandIsRejected) {
+  ClientBench bench;
+  ConversationGenerator gen(ConversationWorkloadConfig::Arena(), 1, 19);
+  EXPECT_DEATH(ConversationClient(&bench.sim, bench.net.get(),
+                                  bench.resolver.get(), &gen, &bench.sink, 0,
+                                  ClientConfig{}, 20),
+               "private request-id band");
 }
 
 TEST(SubmitViaNetworkTest, StampsSubmitTimeAndAppliesLatency) {

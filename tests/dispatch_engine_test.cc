@@ -412,6 +412,56 @@ TEST(DispatchEngineTest, FreeBlockGateRoutesAroundMemoryFullReplica) {
   EXPECT_EQ(control.replicas[0]->stats().enqueued, 3 + 1);
 }
 
+TEST(DispatchEngineTest, ProbeMissesEjectCrashedReplicasAcrossRegionGroups) {
+  // Replicas attached in region order r0, r1, r0, r0, so one probe tick
+  // fans out to two destination groups while its single miss-timeout event
+  // checks all four targets in attach order. One replica per region is
+  // crashed; probe misses alone must eject exactly those two.
+  Simulator sim;
+  Topology topology;
+  topology.AddRegion("r0", Milliseconds(1));
+  topology.AddRegion("r1", Milliseconds(1));
+  topology.SetLatency(0, 1, Milliseconds(40));
+  Network net(&sim, topology);
+  DispatchConfig config;
+  config.push_mode = PushMode::kSelectivePending;
+  config.probe_interval = Seconds(2);  // Each tick's 1 s timeout fires first.
+  config.outlier.enabled = true;
+  FirstAvailableSelector selector;
+  DispatchEngine engine(&sim, &net, 0, config, &selector);
+  const RegionId regions[] = {0, 1, 0, 0};
+  std::vector<std::unique_ptr<Replica>> replicas;
+  for (int i = 0; i < 4; ++i) {
+    replicas.push_back(
+        std::make_unique<Replica>(&sim, i, regions[i], ReplicaConfig{}));
+    engine.AttachReplica(replicas.back().get());
+  }
+  replicas[1]->Fail();  // The r1 group's only replica.
+  replicas[2]->Fail();  // An r0 replica attached after the r1 one.
+  engine.Start();       // Ticks at 0, 2, 4 s; misses counted at 1, 3, 5 s.
+
+  auto status = [&engine](ReplicaId id) {
+    return engine.FindReplica(id)->health.status();
+  };
+  for (int round = 1; round <= 3; ++round) {
+    sim.RunUntil(Seconds(2) * (round - 1) + Milliseconds(1500));
+    SCOPED_TRACE(round);
+    // One miss per crashed replica per round: the third ejects both.
+    EXPECT_EQ(engine.stats().probe_misses, 2 * round);
+    const HealthStatus crashed =
+        round < 3 ? HealthStatus::kDegraded : HealthStatus::kEjected;
+    EXPECT_EQ(status(1), crashed);
+    EXPECT_EQ(status(2), crashed);
+    EXPECT_EQ(status(0), HealthStatus::kHealthy);
+    EXPECT_EQ(status(3), HealthStatus::kHealthy);
+  }
+  EXPECT_EQ(engine.stats().ejections, 2);
+  EXPECT_TRUE(engine.FindReplica(0)->probed_once);
+  EXPECT_TRUE(engine.FindReplica(3)->probed_once);
+  EXPECT_FALSE(engine.FindReplica(1)->probed_once);
+  EXPECT_FALSE(engine.FindReplica(2)->probed_once);
+}
+
 TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectivePending;

@@ -68,6 +68,7 @@ TEST(HeterogeneousTest, PendingSignalShiftsLoadTowardFastDevice) {
   client_config.program_gap_mean = Milliseconds(300);
   std::vector<std::unique_ptr<ConversationClient>> clients;
   for (int i = 0; i < 70; ++i) {
+    client_config.request_id_base = static_cast<RequestId>(i + 1) << 32;
     clients.push_back(std::make_unique<ConversationClient>(
         &fleet.sim, fleet.net.get(), fleet.resolver.get(), &gen,
         &fleet.metrics, 0, client_config, 100 + static_cast<uint64_t>(i)));
@@ -94,6 +95,7 @@ TEST(HeterogeneousTest, MixedFleetCompletesEverythingUnderAllModes) {
     client_config.stop_issuing_after = Seconds(30);
     std::vector<std::unique_ptr<ConversationClient>> clients;
     for (int i = 0; i < 20; ++i) {
+      client_config.request_id_base = static_cast<RequestId>(i + 1) << 32;
       clients.push_back(std::make_unique<ConversationClient>(
           &fleet.sim, fleet.net.get(), fleet.resolver.get(), &gen,
           &fleet.metrics, 0, client_config, 200 + static_cast<uint64_t>(i)));

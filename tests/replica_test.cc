@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "src/replica/replica.h"
 #include "src/sim/simulator.h"
 
@@ -235,16 +236,28 @@ TEST(ReplicaTest, BatchingAmortizesStepOverhead) {
   EXPECT_LT(sixteen, 4 * one) << "continuous batching should amortize steps";
 }
 
-TEST(ReplicaTest, MemorySeriesIsSampled) {
+TEST(ReplicaTest, MemSamplesAreTracedEveryFourthStep) {
   Simulator sim;
+  Tracer tracer(/*num_regions=*/1);
+  sim.SetTracer(&tracer);
   Replica replica(&sim, 0, 0, ReplicaConfig{});
   Completion c;
   replica.Enqueue(MakeRequest(1, 256, 64), Record(&sim, &c));
   sim.Run();
-  EXPECT_FALSE(replica.memory_series().empty());
-  for (const auto& [t, util] : replica.memory_series()) {
-    EXPECT_GE(util, 0.0);
+  int64_t steps = 0;
+  int64_t samples = 0;
+  for (const TraceRecord& record : tracer.Merged()) {
+    if (record.type == static_cast<uint16_t>(TraceEventType::kEngineStep)) {
+      ++steps;
+    } else if (record.type ==
+               static_cast<uint16_t>(TraceEventType::kMemSample)) {
+      ++samples;
+      EXPECT_EQ(steps % 4, 0) << "sample after step " << steps;
+      EXPECT_GE(record.x, 0.0);
+    }
   }
+  EXPECT_EQ(steps, replica.stats().engine_steps);
+  EXPECT_EQ(samples, steps / 4);
 }
 
 TEST(ReplicaTest, CrashDropsAllWork) {

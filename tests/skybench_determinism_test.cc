@@ -1,9 +1,16 @@
 // Determinism tests for the skybench harness: identical seeds must produce
-// byte-identical BENCH_*.json output regardless of worker-thread count, and
-// trial 0 must always run each scenario's canonical seeds (so historical
-// headline numbers stay comparable across CLI seeds).
+// byte-identical BENCH_*.json output and TRACE_* files regardless of
+// worker-thread count, and trial 0 must always run each scenario's
+// canonical seeds (so historical headline numbers stay comparable across
+// CLI seeds).
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "bench/scenarios/scenarios.h"
 #include "src/common/json.h"
@@ -41,6 +48,54 @@ TEST_F(SkybenchDeterminismTest,
     const std::string pooled = RunToJson(scenario, 2, 7, 4);
     EXPECT_EQ(single, pooled);
   }
+}
+
+// Runs `scenario` in smoke mode with tracing into a fresh `dir` and returns
+// every file it wrote, name -> bytes.
+std::map<std::string, std::string> RunTraced(const Scenario* scenario,
+                                             int threads,
+                                             const std::filesystem::path& dir) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  RunConfig config;
+  config.smoke = true;
+  config.threads = threads;
+  config.trace = true;
+  config.trace_dir = dir.string();
+  RunScenarios({scenario}, config);
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[entry.path().filename().string()] = bytes.str();
+  }
+  std::filesystem::remove_all(dir);
+  return files;
+}
+
+TEST_F(SkybenchDeterminismTest, TraceBytesAreIdenticalAcrossThreadCounts) {
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "skybench_trace_threads";
+  int traceable = 0;
+  for (const Scenario* scenario : ScenarioRegistry::Get().All()) {
+    if (!scenario->traceable) {
+      continue;
+    }
+    ++traceable;
+    SCOPED_TRACE(scenario->name);
+    const auto single = RunTraced(scenario, 1, root / "t1");
+    const auto pooled = RunTraced(scenario, 4, root / "t4");
+    ASSERT_FALSE(single.empty());
+    ASSERT_EQ(single.size(), pooled.size());
+    for (const auto& [name, bytes] : single) {
+      const auto it = pooled.find(name);
+      ASSERT_NE(it, pooled.end()) << name;
+      // Not EXPECT_EQ: a failure would print megabytes of trace.
+      EXPECT_TRUE(it->second == bytes) << name << " differs";
+    }
+  }
+  EXPECT_GT(traceable, 0);
 }
 
 TEST_F(SkybenchDeterminismTest, RepeatedRunsAreBitIdentical) {
