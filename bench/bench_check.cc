@@ -1,11 +1,12 @@
 // CI gate over skybench output (ISSUE 5): byte-diffs coarse-mode golden
-// BENCH_*.json files against a fresh run and enforces fig07 derived-ratio
-// floors, so the coarse determinism contract and the SP-P/BP throughput gap
-// are guarded in CI rather than only by local discipline.
+// BENCH_*.json files against a fresh run and enforces derived-metric
+// floors (fig07's SP-P/BP throughput gap, micro_selection, micro_memory),
+// so the coarse determinism contract and the headline ratios are guarded
+// in CI rather than only by local discipline.
 //
 // Usage:
 //   bench_check --goldens=bench/goldens/smoke --results=bench-results
-//               [--fig07=bench-results/BENCH_fig07_memory_pressure.json
+//               [--derived=bench-results/BENCH_fig07_memory_pressure.json
 //                --floors=bench/goldens/fig07_floors.json]
 //               [--timing=bench-results/BENCH_TIMING.json
 //                --timing-floors=bench/goldens/fleet_floors.json]
@@ -97,25 +98,27 @@ int CheckGoldens(const std::string& goldens, const std::string& results) {
   return failures;
 }
 
-int CheckFloors(const std::string& fig07_path, const std::string& floors_path) {
-  auto fig07_text = ReadFile(fig07_path);
+int CheckFloors(const std::string& bench_path,
+                const std::string& floors_path) {
+  auto bench_text = ReadFile(bench_path);
   auto floors_text = ReadFile(floors_path);
-  if (!fig07_text || !floors_text) {
-    std::fprintf(stderr, "FAIL cannot read %s or %s\n", fig07_path.c_str(),
+  if (!bench_text || !floors_text) {
+    std::fprintf(stderr, "FAIL cannot read %s or %s\n", bench_path.c_str(),
                  floors_path.c_str());
     return 1;
   }
-  auto fig07 = skywalker::Json::Parse(*fig07_text);
+  auto bench = skywalker::Json::Parse(*bench_text);
   auto floors = skywalker::Json::Parse(*floors_text);
-  if (!fig07 || !floors || !floors->is_object()) {
-    std::fprintf(stderr, "FAIL unparseable fig07/floors JSON\n");
+  if (!bench || !floors || !floors->is_object()) {
+    std::fprintf(stderr, "FAIL unparseable BENCH/floors JSON\n");
     return 1;
   }
-  const skywalker::Json* summary = fig07->Find("summary");
+  const skywalker::Json* summary = bench->Find("summary");
   const skywalker::Json* derived =
       summary != nullptr ? summary->Find("derived") : nullptr;
   if (derived == nullptr || !derived->is_object()) {
-    std::fprintf(stderr, "FAIL fig07 file has no summary.derived object\n");
+    std::fprintf(stderr, "FAIL %s has no summary.derived object\n",
+                 bench_path.c_str());
     return 1;
   }
   int failures = 0;
@@ -125,7 +128,7 @@ int CheckFloors(const std::string& fig07_path, const std::string& floors_path) {
     }
     const skywalker::Json* value = derived->Find(key);
     if (value == nullptr || !value->is_number()) {
-      std::fprintf(stderr, "FAIL fig07 derived metric '%s' missing\n",
+      std::fprintf(stderr, "FAIL derived metric '%s' missing\n",
                    key.c_str());
       ++failures;
       continue;
@@ -424,16 +427,16 @@ int CheckTraceSchema(const std::string& path) {
 int main(int argc, char** argv) {
   const std::string goldens = FlagValue(argc, argv, "goldens");
   const std::string results = FlagValue(argc, argv, "results");
-  const std::string fig07 = FlagValue(argc, argv, "fig07");
+  const std::string derived = FlagValue(argc, argv, "derived");
   const std::string floors = FlagValue(argc, argv, "floors");
   const std::string timing = FlagValue(argc, argv, "timing");
   const std::string timing_floors = FlagValue(argc, argv, "timing-floors");
   const std::string trace_schema = FlagValue(argc, argv, "trace-schema");
-  if (goldens.empty() && fig07.empty() && timing.empty() &&
+  if (goldens.empty() && derived.empty() && timing.empty() &&
       trace_schema.empty()) {
     std::fprintf(stderr,
                  "usage: bench_check --goldens=DIR --results=DIR "
-                 "[--fig07=FILE --floors=FILE] "
+                 "[--derived=FILE --floors=FILE] "
                  "[--timing=FILE --timing-floors=FILE] "
                  "[--trace-schema=FILE]\n");
     return 2;
@@ -446,12 +449,12 @@ int main(int argc, char** argv) {
     }
     failures += CheckGoldens(goldens, results);
   }
-  if (!fig07.empty()) {
+  if (!derived.empty()) {
     if (floors.empty()) {
-      std::fprintf(stderr, "--fig07 requires --floors\n");
+      std::fprintf(stderr, "--derived requires --floors\n");
       return 2;
     }
-    failures += CheckFloors(fig07, floors);
+    failures += CheckFloors(derived, floors);
   }
   if (!timing.empty()) {
     if (timing_floors.empty()) {
