@@ -1,6 +1,6 @@
 // Microbenchmarks for the paged KV memory subsystem (src/memory/, ISSUE 4):
-// allocator churn, copy-on-write fork/free storms, and the swap-vs-recompute
-// preemption policies under an overloaded replica.
+// allocator churn, block-native cache churn and eviction, and the
+// swap-vs-recompute preemption policies under an overloaded replica.
 //
 // ns_per_op is wall clock (deterministic = false); the checksums are
 // deterministic and double as a cheap behavior pin. As with the other micro
@@ -63,8 +63,8 @@ Scenario MakeMicroMemoryScenario() {
   scenario.name = "micro_memory";
   scenario.title = "Paged-KV memory subsystem microbenchmarks";
   scenario.description =
-      "ns per allocator append/truncate churn op, CoW fork/free storms, and "
-      "end-to-end replica overload under recompute vs swap preemption.";
+      "ns per allocator append/truncate churn op, cache publish/evict churn, "
+      "and end-to-end replica overload under recompute vs swap preemption.";
   scenario.metric_keys = {"ns_per_op", "iterations", "checksum"};
   scenario.deterministic = false;  // Wall-clock metrics.
   scenario.plan = [](const ScenarioOptions& options) {
@@ -93,42 +93,6 @@ Scenario MakeMicroMemoryScenario() {
             table.Clear(alloc);
             return std::vector<MetricRow>{
                 MicroRow(label, ElapsedNs(start), iterations, checksum)};
-          }});
-    }
-
-    // CoW fork/free storm: many children fork a shared parent prefix, each
-    // diverges (copy-on-write at the partial tail), then frees — the
-    // beam/parallel-sampling pattern.
-    {
-      const std::string label = "cow_fork_storm";
-      const int64_t iterations = options.smoke ? 500 : 20'000;
-      plan.cells.push_back(ScenarioCell{
-          label, [label, iterations] {
-            constexpr int32_t kBs = 16;
-            BlockAllocator alloc(1 << 20);
-            BlockTable parent;
-            parent.Append(alloc, kBs, 4096 + 5);  // Partial tail: CoW bait.
-            std::vector<BlockTable> children(64);
-            const auto start = std::chrono::steady_clock::now();
-            for (int64_t i = 0; i < iterations; ++i) {
-              for (size_t c = 0; c < children.size(); ++c) {
-                children[c].ForkFrom(alloc, parent, kBs,
-                                     parent.num_tokens() -
-                                         static_cast<int64_t>(c % 7));
-                children[c].Append(alloc, kBs, 3 + static_cast<int64_t>(c % 5));
-              }
-              for (BlockTable& child : children) {
-                child.Clear(alloc);
-              }
-            }
-            double checksum =
-                static_cast<double>(alloc.stats().cow_copies) +
-                static_cast<double>(alloc.used_blocks()) * 1e-3;
-            parent.Clear(alloc);
-            return std::vector<MetricRow>{MicroRow(
-                label, ElapsedNs(start),
-                iterations * static_cast<int64_t>(children.size()),
-                checksum)};
           }});
     }
 
@@ -317,8 +281,8 @@ Scenario MakeMicroMemoryScenario() {
       for (const auto& rows : cell_rows) {
         report.rows.insert(report.rows.end(), rows.begin(), rows.end());
       }
-      // Cell order: alloc_churn b1/b16/b32, cow_fork_storm,
-      // cache_block_churn, evict_churn lruleaf (5) / coldsubtree (6),
+      // Cell order: alloc_churn b1/b16/b32, cache_block_churn,
+      // evict_churn lruleaf (4) / coldsubtree (5),
       // overload recompute/swap. The eviction-efficiency ratio is built
       // from deterministic eviction counters, not wall clock, so it is
       // stable enough to gate in CI (micro_memory_floors.json).
@@ -329,12 +293,12 @@ Scenario MakeMicroMemoryScenario() {
       auto safe_div = [](double a, double b) { return b <= 0 ? 0.0 : a / b; };
       report.derived.emplace_back(
           "coldsubtree_vs_lruleaf_pages_per_eviction_x",
-          safe_div(metric(6, "pages_per_eviction"),
-                   metric(5, "pages_per_eviction")));
+          safe_div(metric(5, "pages_per_eviction"),
+                   metric(4, "pages_per_eviction")));
       report.derived.emplace_back("evict_churn_lruleaf_rounds",
-                                  metric(5, "evictions"));
+                                  metric(4, "evictions"));
       report.derived.emplace_back("evict_churn_coldsubtree_rounds",
-                                  metric(6, "evictions"));
+                                  metric(5, "evictions"));
       report.notes.push_back(
           "evict_churn: cold-subtree eviction must reclaim more pages per "
           "eviction round than LRU-leaf on the hot/cold skewed tree.");

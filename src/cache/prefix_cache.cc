@@ -57,7 +57,7 @@ PrefixCache::~PrefixCache() {
   }
 }
 
-SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
+SlabId PrefixCache::SplitAbove(SlabId id, size_t keep) {
   SlabId top = nodes_.Alloc();
   Node& lower = node(id);
   Node& upper = node(top);
@@ -78,17 +78,25 @@ SlabId PrefixCache::SplitAbove(SlabId id, size_t keep, int64_t start) {
   // upper half keeps pages up to PageCeil(mid) and the lower half keeps
   // pages from PageFloor(mid); a page straddling `mid` appears in both
   // spans and gains one allocator reference — a split costs zero new pages.
-  const int64_t first = PageFloor(start, block_size_);
-  const int64_t mid = start + static_cast<int64_t>(keep);
+  // The upper half keeps the original head (and its duplicate flag); the
+  // lower half's head is a duplicate exactly when it is the straddled page,
+  // so held and pinned page counts are unchanged.
+  const int64_t first = PageFloor(lower.start, block_size_);
+  const int64_t mid = lower.start + static_cast<int64_t>(keep);
   const int64_t upper_len = PageCeil(mid, block_size_) - first;
   const int64_t lower_from = PageFloor(mid, block_size_) - first;
   upper.blocks = lower.blocks.Prefix(static_cast<size_t>(upper_len));
   block_pool_.AddRef(upper.blocks);  // One slice view became two.
-  if (mid % block_size_ != 0) {
+  upper.start = lower.start;
+  upper.dup_head = lower.dup_head;
+  lower.dup_head = mid % block_size_ != 0;
+  if (lower.dup_head) {
     alloc_->AddRef(lower.blocks[static_cast<size_t>(lower_from)]);
     ++block_refs_;
+    ++dup_heads_;
   }
   lower.blocks = lower.blocks.Suffix(static_cast<size_t>(lower_from));
+  lower.start = mid;
 
   *node(lower.parent).children.Find(lower.edge.front()) = top;
   lower.edge = lower.edge.Suffix(keep);  // Keeps the original chunk ref.
@@ -141,9 +149,8 @@ int64_t PrefixCache::WalkAndSplit(const TokenSeq& seq, SimTime now,
     }
     if (matched < child_node->edge.size()) {
       // Partial edge match: split so the boundary is node-aligned. The
-      // fully-matched half is the new upper node. The child's edge starts
-      // at absolute depth `pos`.
-      child = SplitAbove(child, matched, static_cast<int64_t>(pos));
+      // fully-matched half is the new upper node.
+      child = SplitAbove(child, matched);
       child_node = &node(child);
     }
     child_node->last_access = now;
@@ -167,7 +174,7 @@ PrefixCache::MatchRef PrefixCache::MatchAndRef(const TokenSeq& seq,
   for (SlabId n = deepest; n != root_; n = node(n).parent) {
     Node& nd = node(n);
     if (nd.ref_count == 0) {
-      pinned_tokens_ += static_cast<int64_t>(nd.edge.size());
+      CountPinned(nd, 1);
     }
     ++nd.ref_count;
   }
@@ -199,7 +206,7 @@ void PrefixCache::Unref(PinId pin) {
     --n.ref_count;
     SKYWALKER_CHECK(n.ref_count >= 0) << "negative refcount";
     if (n.ref_count == 0) {
-      pinned_tokens_ -= static_cast<int64_t>(n.edge.size());
+      CountPinned(n, -1);
     }
     cur = n.parent;
   }
@@ -207,8 +214,16 @@ void PrefixCache::Unref(PinId pin) {
   pins_.Release(slot);
 }
 
+void PrefixCache::CountPinned(const Node& n, int64_t sign) {
+  pinned_tokens_ += sign * static_cast<int64_t>(n.edge.size());
+  pinned_blocks_ +=
+      sign * (static_cast<int64_t>(n.blocks.size()) - (n.dup_head ? 1 : 0));
+}
+
 int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
                             const BlockTable* donor, int64_t donor_base) {
+  // The previous publisher has released what it was going to by now.
+  PruneSharedSpans();
   SlabId parent = root_;
   int64_t matched = WalkAndSplit(seq, now, &parent);
   int64_t added = 0;
@@ -221,6 +236,7 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     n.parent = parent;
     n.ref_count = 0;
     n.last_access = now;
+    n.start = matched;
     added = static_cast<int64_t>(n.edge.size());
 
     // Assemble the leaf's page span over path pages [matched, seq.size()).
@@ -233,11 +249,17 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     const int64_t last = PageCeil(static_cast<int64_t>(seq.size()),
                                   block_size_);
     span_scratch_.resize(static_cast<size_t>(last - first));
+    // Path pages [shared_from, shared_to) came from the donor.
+    int64_t shared_from = first;
+    int64_t shared_to = first;
     if (donor == nullptr) {
       // Bare insert: a whole span of fresh pages in one allocator pass.
       alloc_->AllocateSpan(last - first, span_scratch_.data());
     } else {
       const int64_t donor_first = PageFloor(donor_base, block_size_);
+      shared_from = std::max(first, donor_first);
+      shared_to = std::max(
+          shared_from, std::min(last, donor_first + donor->num_blocks()));
       for (int64_t j = first; j < last; ++j) {
         BlockId id = kInvalidBlockId;
         const int64_t di = j - donor_first;
@@ -255,6 +277,36 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     }
     n.blocks = block_pool_.Intern(span_scratch_.data(), span_scratch_.size());
     block_refs_ += static_cast<int64_t>(span_scratch_.size());
+    if (shared_from == first && shared_to > first &&
+        matched % block_size_ != 0) {
+      // A donated unaligned head page may already hang in the tree (the
+      // publisher's boundary page): the leaf's head is then a duplicate,
+      // and the span recording that page now has this leaf as its deepest
+      // holder — the leaf's own span starts after it.
+      const BlockId head = n.blocks[0];
+      if (PageHolders(parent, first, head).count > 0) {
+        n.dup_head = true;
+        ++dup_heads_;
+        for (SharedSpan& span : shared_spans_) {
+          const int64_t i = first - span.first;
+          if (i >= 0 && i < static_cast<int64_t>(span.pages.size()) &&
+              span.pages[static_cast<size_t>(i)] == head) {
+            span.holder = leaf;
+            ++shared_from;
+            break;
+          }
+        }
+      }
+    }
+    if (shared_from < shared_to) {
+      SharedSpan span;
+      span.pages = n.blocks.Suffix(static_cast<size_t>(shared_from - first))
+                       .Prefix(static_cast<size_t>(shared_to - shared_from));
+      span.first = shared_from;
+      span.holder = leaf;
+      block_pool_.AddRef(span.pages);
+      shared_spans_.push_back(span);
+    }
 
     node(parent).children.Set(n.edge.front(), leaf);
     ++num_nodes_;
@@ -384,7 +436,9 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   assert(n.children.empty() && n.ref_count == 0);
   size_tokens_ -= static_cast<int64_t>(n.edge.size());
   --num_nodes_;
+  dup_heads_ -= n.dup_head ? 1 : 0;
   node(n.parent).children.Erase(n.edge.front());
+  MoveSharedHolder(leaf, n.parent);
   if (maintain_aggregates_) {
     PropagateSubBlocks(leaf, -static_cast<int64_t>(n.blocks.size()));
   }
@@ -401,6 +455,7 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   n.edge = TokenSlice{};
   n.parent = kNilSlabId;
   n.last_access = 0;
+  n.dup_head = false;
   n.sub_blocks = 0;  // Recycled slab nodes must not leak stale aggregates.
   n.sub_hits = 0.0f;
   n.sub_last_access = 0;
@@ -412,9 +467,10 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
 int64_t PrefixCache::RemoveSubtree(SlabId id) {
   Node& top = node(id);
   assert(top.ref_count == 0);
-  node(top.parent).children.Erase(top.edge.front());
+  const SlabId survivor = top.parent;
+  node(survivor).children.Erase(top.edge.front());
   PropagateSubBlocks(id, -static_cast<int64_t>(top.sub_blocks));
-  // evict_stack_ is the caller's candidate scan; use the probe stack here.
+  // evict_stack_ is the caller's candidate scan; use the second stack here.
   int64_t freed = 0;
   scan_stack_.clear();
   scan_stack_.push_back(id);
@@ -428,6 +484,8 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
     }
     size_tokens_ -= static_cast<int64_t>(n.edge.size());
     --num_nodes_;
+    dup_heads_ -= n.dup_head ? 1 : 0;
+    MoveSharedHolder(cur, survivor);
     pool_.Release(n.edge);
     freed += alloc_->ReleaseSpan(n.blocks.data,
                                  static_cast<int64_t>(n.blocks.size()));
@@ -437,6 +495,7 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
     n.edge = TokenSlice{};
     n.parent = kNilSlabId;
     n.last_access = 0;
+    n.dup_head = false;
     n.children.Clear();
     n.sub_blocks = 0;
     n.sub_hits = 0.0f;
@@ -485,9 +544,10 @@ void PrefixCache::Clear() {
   Evict(std::numeric_limits<int64_t>::max());
 }
 
-int64_t PrefixCache::PinnedTokensSlow() const {
-  // Sum of edge lengths of nodes with ref_count > 0.
-  int64_t total = 0;
+std::pair<int64_t, int64_t> PrefixCache::PinnedSlow() const {
+  // Edge lengths and distinct pages of nodes with ref_count > 0.
+  int64_t tokens = 0;
+  int64_t blocks = 0;
   std::vector<SlabId> stack{root_};
   while (!stack.empty()) {
     const Node& n = node(stack.back());
@@ -497,63 +557,132 @@ int64_t PrefixCache::PinnedTokensSlow() const {
       stack.push_back(child);
     }
     if (n.ref_count > 0) {
-      total += static_cast<int64_t>(n.edge.size());
+      tokens += static_cast<int64_t>(n.edge.size());
+      blocks += static_cast<int64_t>(n.blocks.size()) - (n.dup_head ? 1 : 0);
     }
   }
-  return total;
+  return {tokens, blocks};
+}
+
+PrefixCache::Holders PrefixCache::PageHolders(SlabId from, int64_t page,
+                                              BlockId b) const {
+  Holders holders;
+  for (SlabId id = from; id != root_; id = node(id).parent) {
+    const Node& n = node(id);
+    const int64_t lo = PageFloor(n.start, block_size_);
+    if (PageCeil(n.start + static_cast<int64_t>(n.edge.size()),
+                 block_size_) <= page) {
+      break;  // Ends before the page, and so does every ancestor.
+    }
+    if (lo <= page && n.blocks[static_cast<size_t>(page - lo)] == b) {
+      ++holders.count;
+      holders.top = id;
+    }
+  }
+  return holders;
+}
+
+void PrefixCache::MoveSharedHolder(SlabId removed, SlabId survivor) {
+  for (SharedSpan& span : shared_spans_) {
+    if (span.holder == removed) {
+      span.holder = survivor;
+    }
+  }
+}
+
+int64_t PrefixCache::PruneSharedSpans() const {
+  // A page is still shared when some node holds it and the allocator counts
+  // more references than its holders; it is never shared again once that
+  // fails, so spans shrink to their shared pages and empty ones leave.
+  enum Sharing { kNotShared, kPinned, kUnpinned };
+  auto sharing = [this](const SharedSpan& span, size_t i) {
+    const BlockId b = span.pages[i];
+    const int32_t refs = alloc_->ref_count(b);
+    if (refs <= 1) {
+      return kNotShared;
+    }
+    const Holders holders =
+        PageHolders(span.holder, span.first + static_cast<int64_t>(i), b);
+    if (holders.count == 0 || holders.count == refs) {
+      return kNotShared;
+    }
+    return node(holders.top).ref_count == 0 ? kUnpinned : kPinned;
+  };
+  // At most this many pages are shared: a held page's references beyond
+  // its first are its duplicate heads plus its outside holders. The bound
+  // is exact when each shared page has one outside holder, as with sequence
+  // tables (a table never takes a reference on a page someone else holds).
+  // A publisher keeps at most its boundary page, the last of its span, so
+  // look there first; the other pages are scanned only while shared pages
+  // remain unaccounted for.
+  int64_t unfound = alloc_->live_refs() - alloc_->used_blocks() - dup_heads_;
+  int64_t unpinned_shared = 0;
+  for (SharedSpan& span : shared_spans_) {
+    const Sharing state = sharing(span, span.pages.size() - 1);
+    span.tail_shared = state != kNotShared;
+    unfound -= span.tail_shared ? 1 : 0;
+    unpinned_shared += state == kUnpinned ? 1 : 0;
+  }
+  size_t kept = 0;
+  for (SharedSpan span : shared_spans_) {
+    const size_t last = span.pages.size() - 1;
+    size_t lo = last + 1;  // First shared page, and one past the last.
+    size_t hi = 0;
+    if (span.tail_shared) {
+      lo = last;
+      hi = last + 1;
+    }
+    for (size_t i = last; i-- > 0 && unfound > 0;) {
+      const Sharing state = sharing(span, i);
+      if (state != kNotShared) {
+        lo = i;
+        hi = std::max(hi, i + 1);
+        --unfound;
+        unpinned_shared += state == kUnpinned ? 1 : 0;
+      }
+    }
+    if (lo >= hi) {
+      block_pool_.Release(span.pages);
+      continue;
+    }
+    span.pages = span.pages.Suffix(lo).Prefix(hi - lo);
+    span.first += static_cast<int64_t>(lo);
+    shared_spans_[kept++] = span;
+  }
+  shared_spans_.resize(kept);
+  return unpinned_shared;
 }
 
 PrefixCache::BlockOccupancy PrefixCache::CountBlocks() const {
   BlockOccupancy occ;
-  if (block_size_ == 1) {
-    // A one-token page can never straddle a node boundary or hold both
-    // cache and sequence content, so no page is ever shared in coarse mode
-    // (transfer transients resolve within the same event) and occupancy
-    // reduces exactly to the token counters — O(nodes) instead of walking
-    // every page reference, which matters because probes call this every
-    // heartbeat.
-    occ.held_blocks = size_tokens_;
-    occ.evictable_blocks = size_tokens_ - pinned_tokens();
-    return occ;
-  }
-  ++tally_gen_;
-  tally_touched_.clear();
-  scan_stack_.clear();
-  scan_stack_.push_back(root_);
-  while (!scan_stack_.empty()) {
-    SlabId id = scan_stack_.back();
-    scan_stack_.pop_back();
+  occ.held_blocks = block_refs_ - dup_heads_;
+  occ.evictable_blocks =
+      occ.held_blocks - pinned_blocks_ - PruneSharedSpans();
+  return occ;
+}
+
+PrefixCache::BlockOccupancy PrefixCache::CountBlocksByTraversal() const {
+  // Per held page: its references from unpinned nodes.
+  std::unordered_map<BlockId, int32_t> unpinned_refs;
+  std::vector<SlabId> stack{root_};
+  while (!stack.empty()) {
+    const SlabId id = stack.back();
+    stack.pop_back();
     const Node& n = node(id);
     for (const auto& [token, child] : n.children) {
       (void)token;
-      scan_stack_.push_back(child);
+      stack.push_back(child);
     }
-    if (id == root_) {
-      continue;
-    }
-    const bool pinned = n.ref_count > 0;
-    for (size_t i = 0; i < n.blocks.size(); ++i) {
-      const BlockId b = n.blocks[i];
-      const size_t slot = static_cast<size_t>(b);
-      if (slot >= tally_epoch_.size()) {
-        tally_epoch_.resize(slot + 1, 0);
-        tally_unpinned_.resize(slot + 1, 0);
-      }
-      if (tally_epoch_[slot] != tally_gen_) {
-        tally_epoch_[slot] = tally_gen_;
-        tally_unpinned_[slot] = 0;
-        tally_touched_.push_back(b);
-      }
-      if (!pinned) {
-        ++tally_unpinned_[slot];
-      }
+    for (size_t i = 0; id != root_ && i < n.blocks.size(); ++i) {
+      unpinned_refs[n.blocks[i]] += n.ref_count == 0 ? 1 : 0;
     }
   }
-  occ.held_blocks = static_cast<int64_t>(tally_touched_.size());
-  for (BlockId b : tally_touched_) {
+  BlockOccupancy occ;
+  occ.held_blocks = static_cast<int64_t>(unpinned_refs.size());
+  for (const auto& [b, refs] : unpinned_refs) {
     // A page returns to the free list under full eviction iff every one of
     // its allocator references comes from an unpinned node.
-    if (tally_unpinned_[static_cast<size_t>(b)] == alloc_->ref_count(b)) {
+    if (refs == alloc_->ref_count(b)) {
       ++occ.evictable_blocks;
     }
   }
@@ -564,6 +693,7 @@ bool PrefixCache::CheckInvariants() const {
   int64_t tokens = 0;
   size_t nodes = 0;
   int64_t block_refs = 0;
+  int64_t dup_heads = 0;
   bool ok = true;
   // DFS carrying each node's absolute start depth for span-coverage checks.
   std::vector<std::pair<SlabId, int64_t>> stack{{root_, 0}};
@@ -596,6 +726,15 @@ bool PrefixCache::CheckInvariants() const {
           ok = false;
         }
       }
+      // The stored start and duplicate-head flag match the tree.
+      const bool dup =
+          depth % block_size_ != 0 &&
+          PageHolders(n.parent, PageFloor(depth, block_size_), n.blocks[0])
+                  .count > 0;
+      if (n.start != depth || n.dup_head != dup) {
+        ok = false;
+      }
+      dup_heads += dup ? 1 : 0;
     }
     for (const auto& [token, child] : n.children) {
       const Node& c = node(child);
@@ -606,19 +745,27 @@ bool PrefixCache::CheckInvariants() const {
     }
   }
   if (tokens != size_tokens_ || nodes != num_nodes_ ||
-      block_refs != block_refs_) {
+      block_refs != block_refs_ || dup_heads != dup_heads_) {
     ok = false;
   }
-  // The incremental pinned-token counter must match the tree's truth.
-  if (PinnedTokensSlow() != pinned_tokens_) {
+  // The incremental pinned counters and the O(1) occupancy must match the
+  // tree's truth.
+  if (PinnedSlow() != std::make_pair(pinned_tokens_, pinned_blocks_)) {
+    ok = false;
+  }
+  const BlockOccupancy occ = CountBlocks();
+  const BlockOccupancy truth = CountBlocksByTraversal();
+  if (occ.held_blocks != truth.held_blocks ||
+      occ.evictable_blocks != truth.evictable_blocks) {
     ok = false;
   }
   // Arena accounting: every tree node is live in the slab (plus the root),
   // every non-root node holds exactly one token-pool reference and one
-  // block-pool reference.
+  // block-pool reference, and so does every shared span.
   if (nodes_.live() != num_nodes_ + 1 ||
       pool_.live_refs() != static_cast<int64_t>(num_nodes_) ||
-      block_pool_.live_refs() != static_cast<int64_t>(num_nodes_)) {
+      block_pool_.live_refs() !=
+          static_cast<int64_t>(num_nodes_ + shared_spans_.size())) {
     ok = false;
   }
   if (ok && maintain_aggregates_) {

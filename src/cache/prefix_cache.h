@@ -54,6 +54,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/cache/small_map.h"
@@ -167,8 +168,9 @@ class PrefixCache {
   int64_t capacity_tokens() const { return capacity_tokens_; }
   // Tokens currently pinned by at least one active pin (upper bound of
   // unevictable content). O(1): maintained at the 0<->1 refcount
-  // transitions; edge splits conserve the total (both halves inherit the
-  // original refcount). Verified against the tree by CheckInvariants().
+  // transitions, next to the pinned-page count CountBlocks() reads; edge
+  // splits conserve both totals (both halves inherit the original
+  // refcount). Verified against the tree by CheckInvariants().
   int64_t pinned_tokens() const { return pinned_tokens_; }
   size_t num_nodes() const { return num_nodes_; }
   size_t active_pins() const { return pins_.live(); }
@@ -192,18 +194,44 @@ class PrefixCache {
   // CountBlocks().held_blocks.
   int64_t block_refs() const { return block_refs_; }
 
-  // Exact page occupancy of the tree, by full traversal: `held_blocks` is
-  // the number of distinct pages some node references; `evictable_blocks`
-  // counts pages that would return to the free list if every unpinned node
-  // were evicted — i.e. pages whose every allocator reference comes from an
-  // unpinned node (pages also held by pinned paths or live sequences are
-  // not evictable). Scratch buffers are reused across calls, so the probe
-  // path stays allocation-free in steady state.
+  // Exact page occupancy of the tree: `held_blocks` is the number of
+  // distinct pages some node references; `evictable_blocks` counts pages
+  // that would return to the free list if every unpinned node were evicted
+  // — i.e. pages whose every allocator reference comes from an unpinned
+  // node (pages also held by pinned paths or live sequences are not
+  // evictable). Probes call this every heartbeat, so it reads counters
+  // instead of walking the tree:
+  //
+  //   held      = block_refs - duplicate heads
+  //   pinned    = sum of pinned nodes' spans - pinned duplicate heads
+  //   evictable = held - pinned - unpinned pages a live sequence shares
+  //
+  // A node's head page is a *duplicate* when its start is not page-aligned
+  // and an ancestor covering the same path page holds the same physical
+  // page (a split's lower half; a donor insert under a node ending inside
+  // that page). A page's holders lie on one root path with every holder
+  // but the topmost a duplicate head, so each extra reference is exactly
+  // one flag, and — pins covering root paths — a page has a pinned holder
+  // iff its topmost holder is pinned. The last term is the correction set:
+  // the page spans donor inserts transferred, each with its deepest
+  // holder. A sequence references a cache page only by having published
+  // it and afterwards only drops such references, so the set is pruned
+  // here and at Insert to the few boundary pages running sequences still
+  // extend. The pool's references beyond each page's first, minus the
+  // duplicate heads, bound how many pages are shared; each span's last page
+  // is checked first, and the rest only while that bound is not met. Cost:
+  // O(1) plus one check per span; no per-page work at pin transitions, and
+  // with block_size == 1 (no duplicate heads, pinned pages ==
+  // pinned_tokens()) the same formula is the coarse mode.
   struct BlockOccupancy {
     int64_t held_blocks = 0;
     int64_t evictable_blocks = 0;
   };
   BlockOccupancy CountBlocks() const;
+
+  // The same quantities by full traversal of every page reference — the
+  // oracle CheckInvariants() compares CountBlocks() against (tests only).
+  BlockOccupancy CountBlocksByTraversal() const;
 
   // Cumulative statistics (for cache-hit-rate reporting).
   int64_t lookup_tokens() const { return lookup_tokens_; }
@@ -222,10 +250,11 @@ class PrefixCache {
   // Two cache lines. The first line is everything a walk touches — edge
   // slice (16) + child map with two inline entries (32) + parent (4) +
   // ref_count (4) + last_access (8) — so trie walks still load one line per
-  // node. The second line holds the node's KV page span (16) plus the
-  // kColdSubtree aggregates (24), touched only by insert/split/evict — and
-  // the aggregates only when that policy is active, so the default-policy
-  // walk and eviction paths never read them.
+  // node. The second line holds the node's KV page span (16), its path
+  // position and duplicate-head flag (9), and the kColdSubtree aggregates
+  // (24), touched only by insert/split/evict/pin transitions — and the
+  // aggregates only when that policy is active, so the default-policy walk
+  // and eviction paths never read them.
   struct alignas(64) Node {
     TokenSlice edge;  // Label on the edge from parent to this node.
     SmallSortedMap<Token, SlabId, 2> children;
@@ -235,6 +264,10 @@ class PrefixCache {
     SimTime last_access = 0;
     // --- second line: the paged-KV span (cold for walks) ---
     BlockSlice blocks;  // Pages covering the edge, path-aligned.
+    int64_t start = 0;  // Path depth of the edge's first token.
+    // The head page (blocks[0]) is also held by an ancestor; see
+    // CountBlocks(). Never set at block_size 1.
+    bool dup_head = false;
     // kColdSubtree aggregates, maintained incrementally while that policy
     // is active (root included; rebuilt on policy entry):
     //   sub_blocks      — Σ blocks.size() over this subtree (span refs, so
@@ -258,16 +291,37 @@ class PrefixCache {
   // matched path is exactly the parent chain of `*deepest`.
   int64_t WalkAndSplit(const TokenSeq& seq, SimTime now, SlabId* deepest);
 
-  // Splits the edge of `id` (whose edge starts at absolute path depth
-  // `start`) at `keep` tokens by inserting a new node ABOVE it: the new
-  // node takes the first `keep` tokens, `id` keeps the rest (and its
-  // children, refcount, pins). A page straddling the split point is shared
-  // by both halves (one extra reference). Returns the new upper node.
-  SlabId SplitAbove(SlabId id, size_t keep, int64_t start);
+  // Splits the edge of `id` at `keep` tokens by inserting a new node ABOVE
+  // it: the new node takes the first `keep` tokens, `id` keeps the rest
+  // (and its children, refcount, pins). A page straddling the split point
+  // is shared by both halves (one extra reference; the lower half's head
+  // becomes a duplicate). Returns the new upper node.
+  SlabId SplitAbove(SlabId id, size_t keep);
 
   // Removes an unpinned leaf, releasing its page references. Returns the
   // pages actually freed in the allocator.
   int64_t RemoveLeaf(SlabId leaf);
+
+  // Occupancy bookkeeping at a node's pin 0<->1 transition (+1 / -1).
+  void CountPinned(const Node& n, int64_t sign);
+
+  // Holders of page `b` at path page `page` among `from` and its
+  // ancestors: how many hold it, and the topmost. Nodes below the page are
+  // skipped and the walk stops above it, so it visits at most the page's
+  // covering nodes plus those below it.
+  struct Holders {
+    int32_t count = 0;
+    SlabId top = kNilSlabId;
+  };
+  Holders PageHolders(SlabId from, int64_t page, BlockId b) const;
+
+  // Correction set (see CountBlocks): drops pages no sequence still shares,
+  // trims each span to its shared ends, and returns the shared pages with
+  // no pinned holder.
+  int64_t PruneSharedSpans() const;
+  // `removed` leaves the tree: spans it was the deepest holder of move up to
+  // `survivor`, the nearest ancestor that stays.
+  void MoveSharedHolder(SlabId removed, SlabId survivor);
 
   // The seed LRU-leaf eviction loop (kLruLeaf, and the kColdSubtree
   // fallback pass): full-tree scan per victim, oldest unpinned leaf first.
@@ -286,9 +340,9 @@ class PrefixCache {
   // `sub_hits` decayed to `now` in whole half-lives (exact ldexp scaling).
   static float DecayedHits(const Node& n, SimTime now);
 
-  // Recomputes the pinned-token sum by full-tree walk (the pre-ISSUE-10
-  // definition); CheckInvariants compares it against pinned_tokens_.
-  int64_t PinnedTokensSlow() const;
+  // Recomputes the pinned-token and pinned-page sums by full-tree walk;
+  // CheckInvariants compares them against pinned_tokens_/pinned_blocks_.
+  std::pair<int64_t, int64_t> PinnedSlow() const;
   // Adds `delta` to sub_blocks on every ancestor of `id`, root included.
   void PropagateSubBlocks(SlabId id, int64_t delta);
   // Refreshes the access-side aggregates of a path node during a walk.
@@ -310,23 +364,28 @@ class PrefixCache {
   BlockAllocator* alloc_;                        // Shared paged-KV pool.
   Slab<Node, 6> nodes_;  // 64-node chunks: cheap short-lived instances.
   TokenPool pool_;
-  BlockPool block_pool_;
+  // Mutable: CountBlocks() releases the views of pruned SharedSpans.
+  mutable BlockPool block_pool_;
   SlabId root_;
   int64_t size_tokens_ = 0;
   size_t num_nodes_ = 0;  // Excludes root.
   int64_t block_refs_ = 0;
-  // Running sum of edge lengths of nodes with ref_count > 0; see
-  // pinned_tokens(). Updated only at pin 0->1 / unpin 1->0 transitions.
+  // Nodes whose head page is a duplicate (Node::dup_head).
+  int64_t dup_heads_ = 0;
+  // Running sums over nodes with ref_count > 0 of edge lengths (see
+  // pinned_tokens()) and of span pages minus duplicate heads (distinct
+  // pinned pages). Updated only at pin 0->1 / unpin 1->0 transitions.
   int64_t pinned_tokens_ = 0;
+  int64_t pinned_blocks_ = 0;
 
   // Pins are generation-stamped handles so stale/double Unrefs are caught;
   // the slot payload is the deepest node covered by the pin.
   GenSlotPool<SlabId> pins_;
 
-  // Reused scratch: eviction's DFS stack and Insert's span assembly buffer
-  // (steady-state allocation freedom), plus CountBlocks' tally arrays
-  // (mutable: probes are logically const).
+  // Reused scratch: eviction's DFS stacks and Insert's span assembly buffer
+  // (steady-state allocation freedom).
   std::vector<SlabId> evict_stack_;
+  std::vector<SlabId> scan_stack_;
   std::vector<BlockId> span_scratch_;
   // Cold-pass candidate list (score precomputed; reused across passes).
   struct ColdCandidate {
@@ -336,11 +395,18 @@ class PrefixCache {
   };
   std::vector<ColdCandidate> cold_candidates_;
   EvictionStats eviction_stats_;
-  mutable std::vector<SlabId> scan_stack_;
-  mutable std::vector<int32_t> tally_unpinned_;
-  mutable std::vector<uint32_t> tally_epoch_;
-  mutable std::vector<BlockId> tally_touched_;
-  mutable uint32_t tally_gen_ = 0;
+
+  // The correction set: page spans a donor insert transferred (a view
+  // holding one block_pool_ reference) starting at path page `first`,
+  // with the deepest node holding any of them. Mutable: CountBlocks()
+  // prunes it, and pruning never changes an answer.
+  struct SharedSpan {
+    BlockSlice pages;
+    int64_t first = 0;
+    SlabId holder = kNilSlabId;
+    bool tail_shared = false;  // PruneSharedSpans scratch.
+  };
+  mutable std::vector<SharedSpan> shared_spans_;
 
   int64_t lookup_tokens_ = 0;
   int64_t hit_tokens_ = 0;

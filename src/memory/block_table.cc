@@ -10,20 +10,6 @@ void BlockTable::SetSkew(int32_t skew) {
   skew_ = skew;
 }
 
-void BlockTable::ForkFrom(BlockAllocator& alloc, const BlockTable& parent,
-                          int32_t block_size, int64_t tokens) {
-  SKYWALKER_CHECK(blocks_.empty() && tokens_ == 0) << "fork into empty table";
-  SKYWALKER_CHECK(tokens <= parent.tokens_) << "fork beyond parent";
-  skew_ = parent.skew_;
-  int64_t cover = (skew_ + tokens + block_size - 1) / block_size;
-  for (int64_t i = 0; i < cover; ++i) {
-    BlockId id = parent.blocks_[static_cast<size_t>(i)];
-    alloc.AddRef(id);
-    blocks_.push_back(id);
-  }
-  tokens_ = tokens;
-}
-
 int64_t BlockTable::Truncate(BlockAllocator& alloc, int32_t block_size,
                              int64_t tokens) {
   SKYWALKER_CHECK(tokens >= 0 && tokens <= tokens_) << "truncate range";

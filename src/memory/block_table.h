@@ -3,11 +3,10 @@
 //
 // A table owns one reference on each of its blocks. Growth fills the
 // partially-used tail block before allocating a new one; a *shared* partial
-// tail (refcount > 1, i.e. a copy-on-write fork boundary) is duplicated
-// first — the CoW copy the paper-adjacent systems pay on fork divergence —
-// so writers never mutate pages a sibling still reads. The one exception is
-// the page a sequence shares with the prefix cache after publishing its
-// prompt (ISSUE 5): the cache owns the page's earlier slots and the
+// tail (refcount > 1: another holder still reads it) is duplicated first —
+// copy-on-write — so writers never mutate pages someone else reads. The
+// one exception is the page a sequence shares with the prefix cache after
+// publishing its prompt: the cache owns the page's earlier slots and the
 // sequence extends into the free tail slots, which is slot-disjoint and
 // needs no copy; `set_cow_exempt` marks that page.
 //
@@ -21,11 +20,13 @@
 // With block_size == 1 the skew is always zero and every operation reduces
 // to the seed token arithmetic.
 //
-// `ForkFrom` shares a prefix of another table by taking references, which
-// is how prefix reuse maps to block refs instead of token copies. Internal
-// fragmentation (allocated-but-unfilled slots, counting the skewed head) is
-// observable per table; the *exact* global figure lives with the replica,
-// which sees both sides of every shared page.
+// A table only ever gains fresh pages (Append allocates, CoW copies): it
+// never takes a reference on a page someone else holds, so a page a
+// sequence shares with the prefix cache is one the sequence published. The
+// cache's O(1) occupancy counters rely on this (PrefixCache::CountBlocks).
+// Internal fragmentation (allocated-but-unfilled slots, counting the skewed
+// head) is observable per table; the *exact* global figure lives with the
+// replica, which sees both sides of every shared page.
 //
 // Tables keep their vector capacity across Clear() so pooled reuse
 // (KvController's sequence slots) stays allocation-free in steady state.
@@ -76,12 +77,6 @@ class BlockTable {
   // allocates one without changing the block count).
   int64_t Append(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
 
-  // Becomes a fork of `parent`'s first `tokens` tokens by taking references
-  // on the covering blocks (inheriting the parent's skew). The table must
-  // be empty.
-  void ForkFrom(BlockAllocator& alloc, const BlockTable& parent,
-                int32_t block_size, int64_t tokens);
-
   // Drops the last `tokens` tokens, releasing blocks that become empty.
   // Returns the number of references released.
   int64_t Truncate(BlockAllocator& alloc, int32_t block_size, int64_t tokens);
@@ -113,16 +108,15 @@ inline int64_t BlockTable::Append(BlockAllocator& alloc, int32_t block_size,
     return 0;
   }
   int64_t allocated = 0;
-  // Free slots in the current tail block (skew slots belong to the cached
-  // prefix frame, not to this table; an empty skewed table has no tail
-  // block yet, so nothing is available).
-  int64_t avail = blocks_.empty()
-                      ? 0
-                      : num_blocks() * block_size - skew_ - tokens_;
+  // Free slots in the current tail block. Skew slots belong to the cached
+  // prefix frame, not to this table: an empty skewed table has no tail
+  // block yet and its first page holds only block_size - skew tokens, so
+  // `avail` is -skew there and the loop below allocates for the skew too.
+  int64_t avail = num_blocks() * block_size - skew_ - tokens_;
   if (avail > 0 && alloc.ref_count(blocks_.back()) > 1 &&
       blocks_.back() != cow_exempt_) {
-    // Copy-on-write: the partial tail is shared with a fork; duplicate it
-    // before writing. (Full shared blocks are immutable and stay shared;
+    // Copy-on-write: the partial tail is shared; duplicate it before
+    // writing. (Full shared blocks are immutable and stay shared;
     // the cache-shared boundary page is exempt — extension there fills
     // slots the cache never reads.)
     alloc.Release(blocks_.back());

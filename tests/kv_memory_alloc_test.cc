@@ -3,7 +3,7 @@
 //
 // The block free list, sequence-slot free list, and block-table vectors all
 // recycle: once warmed to a high-water mark, admit/prefill/decode/release
-// churn and fork/free storms must not touch the heap. Allocations are
+// churn must not touch the heap. Allocations are
 // counted with the global operator new/delete replacement in
 // tests/counting_new.h.
 
@@ -52,37 +52,6 @@ TEST(KvMemoryAllocTest, BlockFreeListSteadyStateDoesNotAllocate) {
   EXPECT_EQ(NewCount() - baseline, 0)
       << "steady-state append/truncate churn must not allocate";
   warm.Clear(alloc);
-}
-
-TEST(KvMemoryAllocTest, ForkReleaseStormDoesNotAllocateWhenWarm) {
-  constexpr int32_t kBs = 16;
-  BlockAllocator alloc(1 << 16);
-  alloc.Reserve(1 << 16);
-  BlockTable parent;
-  parent.Append(alloc, kBs, 4096 + 5);
-  std::vector<BlockTable> children(64);
-  // Warm one full round so every child's vector reaches capacity.
-  for (BlockTable& child : children) {
-    child.ForkFrom(alloc, parent, kBs, parent.num_tokens());
-    child.Append(alloc, kBs, 64);
-  }
-  for (BlockTable& child : children) {
-    child.Clear(alloc);
-  }
-
-  long long baseline = NewCount();
-  for (int round = 0; round < 2'000; ++round) {
-    for (BlockTable& child : children) {
-      child.ForkFrom(alloc, parent, kBs, parent.num_tokens());
-      child.Append(alloc, kBs, 64);  // CoW tail copy + fresh blocks.
-    }
-    for (BlockTable& child : children) {
-      child.Clear(alloc);
-    }
-  }
-  EXPECT_EQ(NewCount() - baseline, 0)
-      << "CoW fork/free storms must recycle blocks and table capacity";
-  parent.Clear(alloc);
 }
 
 TEST(KvMemoryAllocTest, ControllerSeqChurnDoesNotAllocateWhenWarm) {

@@ -17,7 +17,7 @@
 //
 // The unified-ledger test then replays the full replica publish protocol
 // (admit with pin + skew, chunked prefill, publish-by-reference-transfer,
-// decode into the shared boundary page, complete, preempt, evict, fork)
+// decode into the shared boundary page, complete, preempt, evict)
 // at real block sizes, asserting after every op the block-conservation
 // invariant of ISSUE 5:
 //     cache-held refs + sequence-held refs == allocator refs,
@@ -329,7 +329,7 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
   };
 
   for (int step = 0; step < 3000; ++step) {
-    const int op = static_cast<int>(rng.UniformInt(0, 6));
+    const int op = static_cast<int>(rng.UniformInt(0, 5));
     if (op == 0 && live.size() < 24) {  // Admit.
       LiveSeq s;
       if (!history.empty() && rng.UniformInt(0, 1) == 0) {
@@ -399,19 +399,6 @@ TEST_P(UnifiedLedgerPropertyTest, BlockConservationHoldsUnderChurn) {
       kv.NoteRecomputePreemption();
     } else if (op == 5) {  // Eviction pressure (Evict takes blocks now).
       cache.Evict(rng.UniformInt(0, 2048) / block_size);
-    } else if (op == 6 && !live.empty()) {  // Fork a table, then drop it.
-      const LiveSeq& s = live[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      const int64_t tokens = kv.SeqTokens(s.id);
-      if (tokens > 0) {
-        BlockTable fork;
-        fork.ForkFrom(kv.allocator(), kv.table(s.id), block_size,
-                      rng.UniformInt(1, tokens));
-        ASSERT_EQ(cache.block_refs() + kv.seq_block_refs() +
-                      fork.num_blocks(),
-                  kv.allocator().live_refs());
-        fork.Clear(kv.allocator());
-      }
     }
     check(step);
   }

@@ -349,6 +349,73 @@ TEST(PrefixCacheBlockTest, PagesSharedWithSequencesAreNotEvictable) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
+// O(1) occupancy against the traversal oracle, with explicit expectations.
+void ExpectOccupancy(const PrefixCache& cache, int64_t held,
+                     int64_t evictable) {
+  const PrefixCache::BlockOccupancy occ = cache.CountBlocks();
+  const PrefixCache::BlockOccupancy truth = cache.CountBlocksByTraversal();
+  EXPECT_EQ(occ.held_blocks, truth.held_blocks);
+  EXPECT_EQ(occ.evictable_blocks, truth.evictable_blocks);
+  EXPECT_EQ(occ.held_blocks, held);
+  EXPECT_EQ(occ.evictable_blocks, evictable);
+}
+
+TEST(PrefixCacheBlockTest, DuplicateHeadUnderAShortNodeCountsOnce) {
+  // The completion leaf's head page is its grandparent's tail page: the
+  // prompt leaf ends mid-page, a short node under it ends inside the same
+  // page, and the donor's boundary page lands under that short node. A
+  // parent-only duplicate check would count the page twice.
+  BlockAllocator alloc(1024);
+  PrefixCache cache(16384, &alloc, 16);
+  const TokenSeq prompt = Iota(40);  // Ends inside page 2 (positions 32..47).
+  BlockTable table;
+  table.Append(alloc, 16, 40);
+  cache.Insert(prompt, 1, &table, 0);  // Prompt leaf: pages p0, p1, p2.
+  ExpectOccupancy(cache, 3, 0);        // The table still holds all three.
+  const BlockId boundary = table.blocks()[2];
+  // Publish as the replica does: decode extends the shared boundary page in
+  // place, and the sequence drops the published pages before it.
+  table.set_cow_exempt(boundary);
+  table.Append(alloc, 16, 4);
+  table.ReleasePrefix(alloc, 16, 40);
+  ASSERT_EQ(table.blocks().front(), boundary);
+  ExpectOccupancy(cache, 3, 2);  // The boundary page is sequence-shared.
+
+  // Another request publishes the first two output tokens: a short node at
+  // [40, 42) with its own fresh page 2.
+  TokenSeq full = prompt;
+  for (Token t = 0; t < 4; ++t) {
+    full.push_back(7000 + t);
+  }
+  cache.Insert(TokenSeq(full.begin(), full.begin() + 42), 2);
+  ExpectOccupancy(cache, 4, 3);
+
+  // The sequence completes: its leaf [42, 44) sits under the short node and
+  // its head page is the prompt leaf's tail page.
+  cache.Insert(full, 3, &table, 40);
+  EXPECT_EQ(cache.block_refs(), 5);
+  ExpectOccupancy(cache, 4, 3);
+  EXPECT_TRUE(cache.CheckInvariants());
+
+  // Pinned: the whole path, then only the prompt (which pins the boundary
+  // page through the prompt leaf although the completion leaf is unpinned).
+  auto all = cache.MatchAndRef(full, 4);
+  ExpectOccupancy(cache, 4, 0);
+  auto head = cache.MatchAndRef(prompt, 5);
+  cache.Unref(all.pin);
+  ExpectOccupancy(cache, 4, 1);
+  EXPECT_TRUE(cache.CheckInvariants());
+  cache.Unref(head.pin);
+
+  // The sequence lets go: every page is evictable again.
+  table.Clear(alloc);
+  ExpectOccupancy(cache, 4, 4);
+  cache.Evict(1 << 20);
+  ExpectOccupancy(cache, 0, 0);
+  EXPECT_EQ(alloc.used_blocks(), 0);
+  EXPECT_TRUE(cache.CheckInvariants());
+}
+
 // --- Cold-subtree eviction (ISSUE 8) -------------------------------------
 
 TEST(ColdSubtreeTest, EvictsWholeColdSubtreeBeforeHotContent) {

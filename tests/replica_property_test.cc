@@ -1,7 +1,9 @@
 // Property tests for the replica engine: conservation (every enqueued
 // request completes exactly once, first-token precedes completion), memory
 // boundedness, and cache-accounting invariants, swept across engine
-// configurations and workload shapes with parameterized gtest.
+// configurations (coarse and paged KV, both preemption policies) and
+// workload shapes with parameterized gtest. The probe's O(1) page
+// occupancy is checked against a full traversal after every event.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,12 @@ struct SweepConfig {
   // kMaxPrefillTokensPerStep, prompts prefill over several steps.
   int64_t max_fresh_tokens;
   double share_probability;  // Chance a request reuses another's prefix.
+  int32_t block_size = 1;     // 1 = coarse KV; > 1 = paged.
+  int64_t watermark_blocks = 0;
+  PreemptPolicy preempt = PreemptPolicy::kRecompute;
+  // 0 admits decodes without headroom, so memory runs out mid-decode and
+  // every seed preempts (asserted).
+  int64_t output_reserve = 128;
 };
 
 class ReplicaSweepTest
@@ -33,6 +41,10 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
   ReplicaConfig config;
   config.kv_capacity_tokens = sweep.kv_capacity;
   config.max_running_requests = sweep.max_running;
+  config.kv_block_size_tokens = sweep.block_size;
+  config.kv_watermark_blocks = sweep.watermark_blocks;
+  config.kv_preempt_policy = sweep.preempt;
+  config.output_reserve_tokens = sweep.output_reserve;
   Replica replica(&sim, 0, 0, config);
 
   Rng rng(seed);
@@ -83,7 +95,17 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
                         replica.Enqueue(std::move(req), std::move(handlers));
                       });
   }
-  sim.Run();
+  // The occupancy a probe reports is exact at every event, not only at the
+  // end: publishes, shared boundary pages, splits, pins, evictions and
+  // preemptions all land between probes.
+  while (sim.Step()) {
+    const Replica::LoadSnapshot snap = replica.Snapshot();
+    const PrefixCache::BlockOccupancy truth =
+        replica.cache().CountBlocksByTraversal();
+    ASSERT_EQ(snap.cache_blocks, truth.held_blocks) << "at " << sim.now();
+    ASSERT_EQ(snap.evictable_blocks, truth.evictable_blocks)
+        << "at " << sim.now();
+  }
 
   // Conservation: everything completes exactly once, in order.
   EXPECT_EQ(completed.size(), static_cast<size_t>(kRequests));
@@ -99,6 +121,12 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
 
   // Memory: nothing pinned remains; cache within capacity; structure sound.
   EXPECT_EQ(replica.cache().active_pins(), 0u);
+  if (sweep.output_reserve == 0) {
+    const KvCounters& kv = replica.kv().counters();
+    EXPECT_GT(sweep.preempt == PreemptPolicy::kSwap ? kv.preempt_swap
+                                                     : kv.preempt_recompute,
+              0);
+  }
   EXPECT_LE(replica.cache().size_tokens(), config.kv_capacity_tokens);
   EXPECT_TRUE(replica.cache().CheckInvariants());
 
@@ -122,7 +150,13 @@ INSTANTIATE_TEST_SUITE_P(
             SweepConfig{4096, 64, 400, 0.5},     // Memory-starved.
             SweepConfig{49152, 4, 400, 0.5},     // Slot-starved.
             SweepConfig{49152, 16, 3000, 0.8},   // Multi-chunk, heavy reuse.
-            SweepConfig{8192, 16, 400, 0.0}),    // No sharing at all.
+            SweepConfig{8192, 16, 400, 0.0},     // No sharing at all.
+            // Paged, memory-starved: watermark, eviction, preemption under
+            // both policies, shared boundary pages.
+            SweepConfig{1536, 64, 400, 0.5, 16, 8, PreemptPolicy::kSwap, 0},
+            SweepConfig{1536, 64, 400, 0.5, 16, 8, PreemptPolicy::kRecompute,
+                        0},
+            SweepConfig{6144, 16, 3000, 0.8, 16, 4, PreemptPolicy::kSwap}),
         ::testing::Values(1u, 2u, 3u)));
 
 TEST(ReplicaEdgeCaseTest, SingleTokenOutput) {
