@@ -222,8 +222,6 @@ void PrefixCache::CountPinned(const Node& n, int64_t sign) {
 
 int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
                             const BlockTable* donor, int64_t donor_base) {
-  // The previous publisher has released what it was going to by now.
-  PruneSharedSpans();
   SlabId parent = root_;
   int64_t matched = WalkAndSplit(seq, now, &parent);
   int64_t added = 0;
@@ -249,25 +247,18 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     const int64_t last = PageCeil(static_cast<int64_t>(seq.size()),
                                   block_size_);
     span_scratch_.resize(static_cast<size_t>(last - first));
-    // Path pages [shared_from, shared_to) came from the donor.
-    int64_t shared_from = first;
-    int64_t shared_to = first;
     if (donor == nullptr) {
       // Bare insert: a whole span of fresh pages in one allocator pass.
       alloc_->AllocateSpan(last - first, span_scratch_.data());
     } else {
       const int64_t donor_first = PageFloor(donor_base, block_size_);
-      shared_from = std::max(first, donor_first);
-      shared_to = std::max(
-          shared_from, std::min(last, donor_first + donor->num_blocks()));
       for (int64_t j = first; j < last; ++j) {
-        BlockId id = kInvalidBlockId;
+        BlockId id;
         const int64_t di = j - donor_first;
         if (di >= 0 && di < donor->num_blocks()) {
           id = donor->blocks()[static_cast<size_t>(di)];
           alloc_->AddRef(id);
-        }
-        if (id == kInvalidBlockId) {
+        } else {
           // Re-publish after eviction: the donor no longer covers this
           // position; it gets a fresh page (rare corner, single alloc).
           id = alloc_->Allocate();
@@ -277,35 +268,12 @@ int64_t PrefixCache::Insert(const TokenSeq& seq, SimTime now,
     }
     n.blocks = block_pool_.Intern(span_scratch_.data(), span_scratch_.size());
     block_refs_ += static_cast<int64_t>(span_scratch_.size());
-    if (shared_from == first && shared_to > first &&
-        matched % block_size_ != 0) {
-      // A donated unaligned head page may already hang in the tree (the
-      // publisher's boundary page): the leaf's head is then a duplicate,
-      // and the span recording that page now has this leaf as its deepest
-      // holder — the leaf's own span starts after it.
-      const BlockId head = n.blocks[0];
-      if (PageHolders(parent, first, head).count > 0) {
-        n.dup_head = true;
-        ++dup_heads_;
-        for (SharedSpan& span : shared_spans_) {
-          const int64_t i = first - span.first;
-          if (i >= 0 && i < static_cast<int64_t>(span.pages.size()) &&
-              span.pages[static_cast<size_t>(i)] == head) {
-            span.holder = leaf;
-            ++shared_from;
-            break;
-          }
-        }
-      }
-    }
-    if (shared_from < shared_to) {
-      SharedSpan span;
-      span.pages = n.blocks.Suffix(static_cast<size_t>(shared_from - first))
-                       .Prefix(static_cast<size_t>(shared_to - shared_from));
-      span.first = shared_from;
-      span.holder = leaf;
-      block_pool_.AddRef(span.pages);
-      shared_spans_.push_back(span);
+    // Only a donated page can already hang in the tree (the publisher's
+    // unaligned boundary page): the leaf's head is then a duplicate.
+    if (donor != nullptr && matched % block_size_ != 0 &&
+        AncestorHolds(parent, first, n.blocks[0])) {
+      n.dup_head = true;
+      ++dup_heads_;
     }
 
     node(parent).children.Set(n.edge.front(), leaf);
@@ -438,7 +406,6 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
   --num_nodes_;
   dup_heads_ -= n.dup_head ? 1 : 0;
   node(n.parent).children.Erase(n.edge.front());
-  MoveSharedHolder(leaf, n.parent);
   if (maintain_aggregates_) {
     PropagateSubBlocks(leaf, -static_cast<int64_t>(n.blocks.size()));
   }
@@ -467,8 +434,7 @@ int64_t PrefixCache::RemoveLeaf(SlabId leaf) {
 int64_t PrefixCache::RemoveSubtree(SlabId id) {
   Node& top = node(id);
   assert(top.ref_count == 0);
-  const SlabId survivor = top.parent;
-  node(survivor).children.Erase(top.edge.front());
+  node(top.parent).children.Erase(top.edge.front());
   PropagateSubBlocks(id, -static_cast<int64_t>(top.sub_blocks));
   // evict_stack_ is the caller's candidate scan; use the second stack here.
   int64_t freed = 0;
@@ -485,7 +451,6 @@ int64_t PrefixCache::RemoveSubtree(SlabId id) {
     size_tokens_ -= static_cast<int64_t>(n.edge.size());
     --num_nodes_;
     dup_heads_ -= n.dup_head ? 1 : 0;
-    MoveSharedHolder(cur, survivor);
     pool_.Release(n.edge);
     freed += alloc_->ReleaseSpan(n.blocks.data,
                                  static_cast<int64_t>(n.blocks.size()));
@@ -564,100 +529,25 @@ std::pair<int64_t, int64_t> PrefixCache::PinnedSlow() const {
   return {tokens, blocks};
 }
 
-PrefixCache::Holders PrefixCache::PageHolders(SlabId from, int64_t page,
-                                              BlockId b) const {
-  Holders holders;
+bool PrefixCache::AncestorHolds(SlabId from, int64_t page, BlockId b) const {
   for (SlabId id = from; id != root_; id = node(id).parent) {
     const Node& n = node(id);
-    const int64_t lo = PageFloor(n.start, block_size_);
     if (PageCeil(n.start + static_cast<int64_t>(n.edge.size()),
                  block_size_) <= page) {
-      break;  // Ends before the page, and so does every ancestor.
+      return false;  // Ends before the page, and so does every ancestor.
     }
+    const int64_t lo = PageFloor(n.start, block_size_);
     if (lo <= page && n.blocks[static_cast<size_t>(page - lo)] == b) {
-      ++holders.count;
-      holders.top = id;
+      return true;
     }
   }
-  return holders;
-}
-
-void PrefixCache::MoveSharedHolder(SlabId removed, SlabId survivor) {
-  for (SharedSpan& span : shared_spans_) {
-    if (span.holder == removed) {
-      span.holder = survivor;
-    }
-  }
-}
-
-int64_t PrefixCache::PruneSharedSpans() const {
-  // A page is still shared when some node holds it and the allocator counts
-  // more references than its holders; it is never shared again once that
-  // fails, so spans shrink to their shared pages and empty ones leave.
-  enum Sharing { kNotShared, kPinned, kUnpinned };
-  auto sharing = [this](const SharedSpan& span, size_t i) {
-    const BlockId b = span.pages[i];
-    const int32_t refs = alloc_->ref_count(b);
-    if (refs <= 1) {
-      return kNotShared;
-    }
-    const Holders holders =
-        PageHolders(span.holder, span.first + static_cast<int64_t>(i), b);
-    if (holders.count == 0 || holders.count == refs) {
-      return kNotShared;
-    }
-    return node(holders.top).ref_count == 0 ? kUnpinned : kPinned;
-  };
-  // At most this many pages are shared: a held page's references beyond
-  // its first are its duplicate heads plus its outside holders. The bound
-  // is exact when each shared page has one outside holder, as with sequence
-  // tables (a table never takes a reference on a page someone else holds).
-  // A publisher keeps at most its boundary page, the last of its span, so
-  // look there first; the other pages are scanned only while shared pages
-  // remain unaccounted for.
-  int64_t unfound = alloc_->live_refs() - alloc_->used_blocks() - dup_heads_;
-  int64_t unpinned_shared = 0;
-  for (SharedSpan& span : shared_spans_) {
-    const Sharing state = sharing(span, span.pages.size() - 1);
-    span.tail_shared = state != kNotShared;
-    unfound -= span.tail_shared ? 1 : 0;
-    unpinned_shared += state == kUnpinned ? 1 : 0;
-  }
-  size_t kept = 0;
-  for (SharedSpan span : shared_spans_) {
-    const size_t last = span.pages.size() - 1;
-    size_t lo = last + 1;  // First shared page, and one past the last.
-    size_t hi = 0;
-    if (span.tail_shared) {
-      lo = last;
-      hi = last + 1;
-    }
-    for (size_t i = last; i-- > 0 && unfound > 0;) {
-      const Sharing state = sharing(span, i);
-      if (state != kNotShared) {
-        lo = i;
-        hi = std::max(hi, i + 1);
-        --unfound;
-        unpinned_shared += state == kUnpinned ? 1 : 0;
-      }
-    }
-    if (lo >= hi) {
-      block_pool_.Release(span.pages);
-      continue;
-    }
-    span.pages = span.pages.Suffix(lo).Prefix(hi - lo);
-    span.first += static_cast<int64_t>(lo);
-    shared_spans_[kept++] = span;
-  }
-  shared_spans_.resize(kept);
-  return unpinned_shared;
+  return false;
 }
 
 PrefixCache::BlockOccupancy PrefixCache::CountBlocks() const {
   BlockOccupancy occ;
   occ.held_blocks = block_refs_ - dup_heads_;
-  occ.evictable_blocks =
-      occ.held_blocks - pinned_blocks_ - PruneSharedSpans();
+  occ.evictable_blocks = occ.held_blocks - pinned_blocks_;
   return occ;
 }
 
@@ -729,8 +619,7 @@ bool PrefixCache::CheckInvariants() const {
       // The stored start and duplicate-head flag match the tree.
       const bool dup =
           depth % block_size_ != 0 &&
-          PageHolders(n.parent, PageFloor(depth, block_size_), n.blocks[0])
-                  .count > 0;
+          AncestorHolds(n.parent, PageFloor(depth, block_size_), n.blocks[0]);
       if (n.start != depth || n.dup_head != dup) {
         ok = false;
       }
@@ -749,7 +638,9 @@ bool PrefixCache::CheckInvariants() const {
     ok = false;
   }
   // The incremental pinned counters and the O(1) occupancy must match the
-  // tree's truth.
+  // tree's truth. The occupancy comparison is also where CountBlocks()'s
+  // precondition is enforced: a page a live sequence shares with an
+  // unpinned node makes the traversal's evictable count smaller.
   if (PinnedSlow() != std::make_pair(pinned_tokens_, pinned_blocks_)) {
     ok = false;
   }
@@ -761,11 +652,10 @@ bool PrefixCache::CheckInvariants() const {
   }
   // Arena accounting: every tree node is live in the slab (plus the root),
   // every non-root node holds exactly one token-pool reference and one
-  // block-pool reference, and so does every shared span.
+  // block-pool reference.
   if (nodes_.live() != num_nodes_ + 1 ||
       pool_.live_refs() != static_cast<int64_t>(num_nodes_) ||
-      block_pool_.live_refs() !=
-          static_cast<int64_t>(num_nodes_ + shared_spans_.size())) {
+      block_pool_.live_refs() != static_cast<int64_t>(num_nodes_)) {
     ok = false;
   }
   if (ok && maintain_aggregates_) {

@@ -198,13 +198,12 @@ class PrefixCache {
   // distinct pages some node references; `evictable_blocks` counts pages
   // that would return to the free list if every unpinned node were evicted
   // — i.e. pages whose every allocator reference comes from an unpinned
-  // node (pages also held by pinned paths or live sequences are not
-  // evictable). Probes call this every heartbeat, so it reads counters
-  // instead of walking the tree:
+  // node (pages also held by pinned paths are not evictable). Probes call
+  // this every heartbeat, so it reads counters instead of walking the tree:
   //
   //   held      = block_refs - duplicate heads
   //   pinned    = sum of pinned nodes' spans - pinned duplicate heads
-  //   evictable = held - pinned - unpinned pages a live sequence shares
+  //   evictable = held - pinned
   //
   // A node's head page is a *duplicate* when its start is not page-aligned
   // and an ancestor covering the same path page holds the same physical
@@ -212,17 +211,18 @@ class PrefixCache {
   // that page). A page's holders lie on one root path with every holder
   // but the topmost a duplicate head, so each extra reference is exactly
   // one flag, and — pins covering root paths — a page has a pinned holder
-  // iff its topmost holder is pinned. The last term is the correction set:
-  // the page spans donor inserts transferred, each with its deepest
-  // holder. A sequence references a cache page only by having published
-  // it and afterwards only drops such references, so the set is pruned
-  // here and at Insert to the few boundary pages running sequences still
-  // extend. The pool's references beyond each page's first, minus the
-  // duplicate heads, bound how many pages are shared; each span's last page
-  // is checked first, and the rest only while that bound is not met. Cost:
-  // O(1) plus one check per span; no per-page work at pin transitions, and
-  // with block_size == 1 (no duplicate heads, pinned pages ==
-  // pinned_tokens()) the same formula is the coarse mode.
+  // iff its topmost holder is pinned. With block_size == 1 (no duplicate
+  // heads, pinned pages == pinned_tokens()) the same formula is the coarse
+  // mode.
+  //
+  // Precondition: every page a live sequence shares with the tree has a
+  // pinned holder whenever occupancy is read. A sequence shares only pages
+  // it published; the replica re-pins its prompt in the same event it
+  // publishes it (Replica::OnPrefillComplete), and completion, preemption
+  // and crash drop that pin in the same event the sequence releases its
+  // pages. A caller that breaks this reads an evictable figure too high by
+  // the shared unpinned pages, and CheckInvariants(), which compares
+  // against CountBlocksByTraversal(), returns false.
   struct BlockOccupancy {
     int64_t held_blocks = 0;
     int64_t evictable_blocks = 0;
@@ -265,11 +265,13 @@ class PrefixCache {
     // --- second line: the paged-KV span (cold for walks) ---
     BlockSlice blocks;  // Pages covering the edge, path-aligned.
     int64_t start = 0;  // Path depth of the edge's first token.
-    // The head page (blocks[0]) is also held by an ancestor; see
-    // CountBlocks(). Never set at block_size 1.
+    // The head page (blocks[0]) is also held by an ancestor, so
+    // CountBlocks() takes it once out of held pages, and once out of
+    // pinned pages while this node is pinned. Set at Insert and
+    // SplitAbove; never at block_size 1.
     bool dup_head = false;
-    // kColdSubtree aggregates, maintained incrementally while that policy
-    // is active (root included; rebuilt on policy entry):
+    // kColdSubtree aggregates, maintained incrementally when that is the
+    // cache's policy (root included):
     //   sub_blocks      — Σ blocks.size() over this subtree (span refs, so
     //                     a straddled page counts once per covering node);
     //   sub_last_access — upper bound on max last_access in the subtree
@@ -305,23 +307,10 @@ class PrefixCache {
   // Occupancy bookkeeping at a node's pin 0<->1 transition (+1 / -1).
   void CountPinned(const Node& n, int64_t sign);
 
-  // Holders of page `b` at path page `page` among `from` and its
-  // ancestors: how many hold it, and the topmost. Nodes below the page are
-  // skipped and the walk stops above it, so it visits at most the page's
-  // covering nodes plus those below it.
-  struct Holders {
-    int32_t count = 0;
-    SlabId top = kNilSlabId;
-  };
-  Holders PageHolders(SlabId from, int64_t page, BlockId b) const;
-
-  // Correction set (see CountBlocks): drops pages no sequence still shares,
-  // trims each span to its shared ends, and returns the shared pages with
-  // no pinned holder.
-  int64_t PruneSharedSpans() const;
-  // `removed` leaves the tree: spans it was the deepest holder of move up to
-  // `survivor`, the nearest ancestor that stays.
-  void MoveSharedHolder(SlabId removed, SlabId survivor);
+  // Whether `from` or one of its ancestors holds page `b` at path page
+  // `page`. Nodes below the page are skipped and the walk stops above it,
+  // so it visits at most the page's covering nodes plus those below it.
+  bool AncestorHolds(SlabId from, int64_t page, BlockId b) const;
 
   // The seed LRU-leaf eviction loop (kLruLeaf, and the kColdSubtree
   // fallback pass): full-tree scan per victim, oldest unpinned leaf first.
@@ -364,8 +353,7 @@ class PrefixCache {
   BlockAllocator* alloc_;                        // Shared paged-KV pool.
   Slab<Node, 6> nodes_;  // 64-node chunks: cheap short-lived instances.
   TokenPool pool_;
-  // Mutable: CountBlocks() releases the views of pruned SharedSpans.
-  mutable BlockPool block_pool_;
+  BlockPool block_pool_;
   SlabId root_;
   int64_t size_tokens_ = 0;
   size_t num_nodes_ = 0;  // Excludes root.
@@ -395,18 +383,6 @@ class PrefixCache {
   };
   std::vector<ColdCandidate> cold_candidates_;
   EvictionStats eviction_stats_;
-
-  // The correction set: page spans a donor insert transferred (a view
-  // holding one block_pool_ reference) starting at path page `first`,
-  // with the deepest node holding any of them. Mutable: CountBlocks()
-  // prunes it, and pruning never changes an answer.
-  struct SharedSpan {
-    BlockSlice pages;
-    int64_t first = 0;
-    SlabId holder = kNilSlabId;
-    bool tail_shared = false;  // PruneSharedSpans scratch.
-  };
-  mutable std::vector<SharedSpan> shared_spans_;
 
   int64_t lookup_tokens_ = 0;
   int64_t hit_tokens_ = 0;

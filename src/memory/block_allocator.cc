@@ -32,7 +32,6 @@ void BlockAllocator::AllocateSpan(int64_t n, BlockId* out) {
     out[i] = id;
   }
   used_blocks_ += n;
-  live_refs_ += n;
   stats_.allocated += n;
   stats_.peak_used_blocks = std::max(stats_.peak_used_blocks, used_blocks_);
 }
@@ -48,14 +47,20 @@ int64_t BlockAllocator::ReleaseSpan(const BlockId* ids, int64_t n) {
     }
   }
   used_blocks_ -= freed;
-  live_refs_ -= n;
   stats_.freed += freed;
   return freed;
 }
 
+int64_t BlockAllocator::live_refs() const {
+  int64_t total = 0;
+  for (int32_t ref : refs_) {
+    total += ref;
+  }
+  return total;
+}
+
 bool BlockAllocator::CheckInvariants() const {
   int64_t live = 0;
-  int64_t refs = 0;
   for (int32_t ref : refs_) {
     if (ref < 0) {
       return false;
@@ -63,9 +68,8 @@ bool BlockAllocator::CheckInvariants() const {
     if (ref > 0) {
       ++live;
     }
-    refs += ref;
   }
-  if (live != used_blocks_ || refs != live_refs_) {
+  if (live != used_blocks_) {
     return false;
   }
   if (free_list_.size() != refs_.size() - static_cast<size_t>(live)) {

@@ -66,7 +66,7 @@ class BlockAllocator {
   // nothing.
   int64_t ReleaseSpan(const BlockId* ids, int64_t n);
 
-  // Shares an existing block (copy-on-write fork).
+  // Shares an existing block with one more holder.
   void AddRef(BlockId id);
 
   // Drops one reference; returns true when the block became free.
@@ -86,16 +86,17 @@ class BlockAllocator {
   }
 
   // Sum of all reference counts (each shared block counted once per holder):
-  // the conservation invariant's right-hand side (cache-held + sequence-held
-  // refs == live_refs), and with used_blocks() the number of references
-  // beyond each page's first, which bounds the prefix cache's sharing scan.
-  int64_t live_refs() const { return live_refs_; }
+  // the right-hand side of the ledger conservation invariant (cache-held +
+  // sequence-held refs == live_refs). A scan, O(ids ever allocated): only
+  // KvController::CheckConsistency and tests read it, never a probe or an
+  // engine step.
+  int64_t live_refs() const;
 
   const BlockAllocatorStats& stats() const { return stats_; }
   void NoteCowCopy() { ++stats_.cow_copies; }
 
-  // Structural soundness: used_blocks and live_refs match the refcounts and
-  // the free list holds exactly the zero-ref ids.
+  // Structural soundness: used_blocks matches the number of ids with a
+  // positive refcount and the free list holds exactly the zero-ref ids.
   bool CheckInvariants() const;
 
  private:
@@ -103,7 +104,6 @@ class BlockAllocator {
   std::vector<int32_t> refs_;       // Indexed by BlockId.
   std::vector<BlockId> free_list_;  // LIFO: deterministic, cache-friendly.
   int64_t used_blocks_ = 0;
-  int64_t live_refs_ = 0;
   BlockAllocatorStats stats_;
 };
 
@@ -122,7 +122,6 @@ inline BlockId BlockAllocator::Allocate() {
   }
   refs_[static_cast<size_t>(id)] = 1;
   ++used_blocks_;
-  ++live_refs_;
   ++stats_.allocated;
   stats_.peak_used_blocks = std::max(stats_.peak_used_blocks, used_blocks_);
   return id;
@@ -131,13 +130,11 @@ inline BlockId BlockAllocator::Allocate() {
 inline void BlockAllocator::AddRef(BlockId id) {
   SKYWALKER_CHECK(refs_[static_cast<size_t>(id)] > 0) << "addref dead block";
   ++refs_[static_cast<size_t>(id)];
-  ++live_refs_;
 }
 
 inline bool BlockAllocator::Release(BlockId id) {
   int32_t& ref = refs_[static_cast<size_t>(id)];
   SKYWALKER_CHECK(ref > 0) << "release dead block";
-  --live_refs_;
   if (--ref > 0) {
     return false;
   }

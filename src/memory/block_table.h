@@ -22,10 +22,12 @@
 //
 // A table only ever gains fresh pages (Append allocates, CoW copies): it
 // never takes a reference on a page someone else holds, so a page a
-// sequence shares with the prefix cache is one the sequence published. The
-// cache's O(1) occupancy counters rely on this (PrefixCache::CountBlocks).
-// Internal fragmentation (allocated-but-unfilled slots, counting the skewed
-// head) is observable per table; the *exact* global figure lives with the
+// sequence shares with the prefix cache is one the sequence published.
+// The publisher pins what it keeps sharing (Replica::OnPrefillComplete
+// re-pins its prompt), which is the precondition the cache's O(1)
+// occupancy counters state (PrefixCache::CountBlocks). Internal
+// fragmentation (allocated-but-unfilled slots, counting the skewed head)
+// is observable per table; the *exact* global figure lives with the
 // replica, which sees both sides of every shared page.
 //
 // Tables keep their vector capacity across Clear() so pooled reuse

@@ -85,7 +85,6 @@ DispatchEngine::DispatchEngine(Simulator* sim, Network* net, RegionId region,
       selector_(selector),
       callbacks_(std::move(callbacks)) {
   SKYWALKER_CHECK(selector_ != nullptr) << "engine needs a replica selector";
-  verify_selection_ = config_.verify_selection;
   probe_task_ = std::make_unique<PeriodicTask>(sim_, config_.probe_interval,
                                                [this] { ProbeAll(); });
   RebuildSelectionIndex();
@@ -286,7 +285,7 @@ ReplicaId DispatchEngine::LeastLoadedAvailable() const {
     std::pop_heap(heap_.begin(), heap_.end(), EntryGreater);
     heap_.pop_back();
   }
-  if (verify_selection_) {
+  if (config_.verify_selection) {
     const ReplicaId oracle = LeastLoadedAvailableLinear();
     SKYWALKER_CHECK(best == oracle)
         << "selection index diverged from linear scan: indexed=" << best

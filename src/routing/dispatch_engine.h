@@ -45,7 +45,7 @@
 // AnyAvailable, AvailableCount, and EjectedCount are O(log R) amortized /
 // O(1) instead of O(R) scans, with tie-breaking fixed to the lowest replica
 // position so decisions are provably identical to the retained linear scan
-// (the debug-mode differential oracle, see set_verify_selection).
+// (the debug-mode differential oracle, DispatchConfig::verify_selection).
 
 #ifndef SKYWALKER_ROUTING_DISPATCH_ENGINE_H_
 #define SKYWALKER_ROUTING_DISPATCH_ENGINE_H_
@@ -338,9 +338,6 @@ class DispatchEngine {
   // — the O(log R) alternative to RefreshSelectionIndex when the caller
   // knows exactly which replica changed (tests, microbenchmarks).
   void NoteReplicaMutated(ReplicaId id);
-  // Debug-mode differential oracle: when on, every indexed query is
-  // cross-checked against the linear scan and CHECK-fails on divergence.
-  void set_verify_selection(bool on) { verify_selection_ = on; }
 
   // Per-engine selection counters for the timing sidecar (never part of
   // deterministic results): indexed queries answered and index entries
@@ -445,7 +442,6 @@ class DispatchEngine {
   std::vector<uint8_t> ejected_bit_;
   int available_count_ = 0;
   int ejected_count_ = 0;
-  bool verify_selection_ = false;
   mutable int64_t selection_queries_ = 0;
   int64_t index_touches_ = 0;
 };

@@ -327,26 +327,55 @@ TEST(PrefixCacheBlockTest, PagesSharedWithSequencesAreNotEvictable) {
   PrefixCache cache(16384, &alloc, 16);
   BlockTable table;
   table.Append(alloc, 16, 40);  // Tail page 2 covers tokens [32, 40).
+  // Publish as the replica does: insert from the table, re-pin the prompt,
+  // and keep only the boundary page (as after ReleasePrefix at a 40-token
+  // prompt with generated tokens in page 2).
   cache.Insert(Iota(40), 1, &table, 0);
-  // The sequence keeps its claim on the boundary page only (as after
-  // ReleasePrefix at a 40-token prompt with generated tokens in page 2).
+  auto ref = cache.MatchAndRef(Iota(40), 2);
   table.ReleasePrefix(alloc, 16, 33);
+  ASSERT_EQ(table.num_blocks(), 1);
   PrefixCache::BlockOccupancy occ = cache.CountBlocks();
   EXPECT_EQ(occ.held_blocks, 3);
-  // Pages 0,1 would free under full eviction; page 2 is sequence-shared.
-  EXPECT_EQ(occ.evictable_blocks, 2);
-  // Pinning the path makes nothing evictable.
-  auto ref = cache.MatchAndRef(Iota(40), 2);
-  EXPECT_EQ(cache.CountBlocks().evictable_blocks, 0);
+  // The pinned prompt keeps every page, the sequence-shared one included.
+  EXPECT_EQ(occ.evictable_blocks, 0);
+  EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_EQ(cache.Evict(1 << 20), 0);
+  EXPECT_EQ(cache.size_tokens(), 40);
+  // Unpinned and evicted before anyone reads occupancy again: the cache
+  // lets go of all three pages, but the allocator keeps page 2 alive for
+  // the sequence.
   cache.Unref(ref.pin);
-  // Eviction under the shared page: the cache lets go of all three, but the
-  // allocator keeps page 2 alive for the sequence.
-  cache.Evict(1 << 20);
+  EXPECT_EQ(cache.Evict(1 << 20), 2);
   EXPECT_EQ(cache.size_tokens(), 0);
   EXPECT_EQ(alloc.used_blocks(), 1);
+  EXPECT_EQ(alloc.ref_count(table.blocks()[0]), 1);
+  EXPECT_TRUE(cache.CheckInvariants());
   table.Clear(alloc);
   EXPECT_EQ(alloc.used_blocks(), 0);
+}
+
+TEST(PrefixCacheBlockTest, SharedPageWithoutAPinnedHolderBreaksInvariants) {
+  // CountBlocks() assumes every page a live sequence shares with the tree
+  // has a pinned holder; CheckInvariants() is where that is enforced.
+  BlockAllocator alloc(1024);
+  PrefixCache cache(16384, &alloc, 16);
+  BlockTable table;
+  table.Append(alloc, 16, 40);
+  cache.Insert(Iota(40), 1, &table, 0);
+  table.ReleasePrefix(alloc, 16, 33);  // Keeps the boundary page 2.
+  // No pin: page 2 would survive full eviction, but the counters, which
+  // rely on the precondition, count it evictable.
+  EXPECT_EQ(cache.CountBlocksByTraversal().evictable_blocks, 2);
+  EXPECT_EQ(cache.CountBlocks().evictable_blocks, 3);
+  EXPECT_FALSE(cache.CheckInvariants());
+  // Pinning the prompt restores the precondition.
+  auto ref = cache.MatchAndRef(Iota(40), 2);
   EXPECT_TRUE(cache.CheckInvariants());
+  table.Clear(alloc);
+  cache.Unref(ref.pin);
+  EXPECT_TRUE(cache.CheckInvariants());
+  cache.Evict(1 << 20);
+  EXPECT_EQ(alloc.used_blocks(), 0);
 }
 
 // O(1) occupancy against the traversal oracle, with explicit expectations.
@@ -370,16 +399,18 @@ TEST(PrefixCacheBlockTest, DuplicateHeadUnderAShortNodeCountsOnce) {
   const TokenSeq prompt = Iota(40);  // Ends inside page 2 (positions 32..47).
   BlockTable table;
   table.Append(alloc, 16, 40);
-  cache.Insert(prompt, 1, &table, 0);  // Prompt leaf: pages p0, p1, p2.
-  ExpectOccupancy(cache, 3, 0);        // The table still holds all three.
+  // Publish as the replica does: insert the prompt leaf (pages p0, p1, p2)
+  // from the table and re-pin it; decode extends the shared boundary page
+  // in place, and the sequence drops the published pages before it.
+  cache.Insert(prompt, 1, &table, 0);
+  auto prompt_pin = cache.MatchAndRef(prompt, 1);
+  ExpectOccupancy(cache, 3, 0);
   const BlockId boundary = table.blocks()[2];
-  // Publish as the replica does: decode extends the shared boundary page in
-  // place, and the sequence drops the published pages before it.
   table.set_cow_exempt(boundary);
   table.Append(alloc, 16, 4);
   table.ReleasePrefix(alloc, 16, 40);
   ASSERT_EQ(table.blocks().front(), boundary);
-  ExpectOccupancy(cache, 3, 2);  // The boundary page is sequence-shared.
+  ExpectOccupancy(cache, 3, 0);
 
   // Another request publishes the first two output tokens: a short node at
   // [40, 42) with its own fresh page 2.
@@ -388,28 +419,29 @@ TEST(PrefixCacheBlockTest, DuplicateHeadUnderAShortNodeCountsOnce) {
     full.push_back(7000 + t);
   }
   cache.Insert(TokenSeq(full.begin(), full.begin() + 42), 2);
-  ExpectOccupancy(cache, 4, 3);
+  ExpectOccupancy(cache, 4, 1);
 
   // The sequence completes: its leaf [42, 44) sits under the short node and
-  // its head page is the prompt leaf's tail page.
+  // its head page is the prompt leaf's tail page. With only the prompt
+  // pinned, the boundary page is pinned through the prompt leaf although
+  // the completion leaf is unpinned.
   cache.Insert(full, 3, &table, 40);
   EXPECT_EQ(cache.block_refs(), 5);
-  ExpectOccupancy(cache, 4, 3);
+  ExpectOccupancy(cache, 4, 1);
   EXPECT_TRUE(cache.CheckInvariants());
 
-  // Pinned: the whole path, then only the prompt (which pins the boundary
-  // page through the prompt leaf although the completion leaf is unpinned).
+  // The whole path pinned.
   auto all = cache.MatchAndRef(full, 4);
   ExpectOccupancy(cache, 4, 0);
-  auto head = cache.MatchAndRef(prompt, 5);
   cache.Unref(all.pin);
   ExpectOccupancy(cache, 4, 1);
   EXPECT_TRUE(cache.CheckInvariants());
-  cache.Unref(head.pin);
 
-  // The sequence lets go: every page is evictable again.
+  // The sequence lets go of its pages and its pin: every page is evictable.
   table.Clear(alloc);
+  cache.Unref(prompt_pin.pin);
   ExpectOccupancy(cache, 4, 4);
+  EXPECT_TRUE(cache.CheckInvariants());
   cache.Evict(1 << 20);
   ExpectOccupancy(cache, 0, 0);
   EXPECT_EQ(alloc.used_blocks(), 0);

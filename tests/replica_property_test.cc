@@ -3,7 +3,9 @@
 // boundedness, and cache-accounting invariants, swept across engine
 // configurations (coarse and paged KV, both preemption policies) and
 // workload shapes with parameterized gtest. The probe's O(1) page
-// occupancy is checked against a full traversal after every event.
+// occupancy is checked against a full traversal after every event, and in
+// paged configs so are block-ledger conservation and KvController
+// consistency.
 
 #include <gtest/gtest.h>
 
@@ -105,6 +107,14 @@ TEST_P(ReplicaSweepTest, ConservationAndInvariants) {
     ASSERT_EQ(snap.cache_blocks, truth.held_blocks) << "at " << sim.now();
     ASSERT_EQ(snap.evictable_blocks, truth.evictable_blocks)
         << "at " << sim.now();
+    if (sweep.block_size > 1) {
+      // Ledger conservation in a real engine run: every allocator
+      // reference belongs to a cache node or a sequence table.
+      ASSERT_EQ(replica.cache().block_refs() + replica.kv().seq_block_refs(),
+                replica.kv().allocator().live_refs())
+          << "at " << sim.now();
+      ASSERT_TRUE(replica.kv().CheckConsistency()) << "at " << sim.now();
+    }
   }
 
   // Conservation: everything completes exactly once, in order.

@@ -211,8 +211,9 @@ TEST(SelectionIndexPropertyTest, MatchesLinearOracleUnderRandomTraces) {
       SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size) +
                    " seed=" + std::to_string(seed));
       Rng rng(seed * 7919 + static_cast<uint64_t>(fleet_size));
-      Fleet fleet(fleet_size, RandomConfig(rng));
-      fleet.engine->set_verify_selection(true);
+      DispatchConfig config = RandomConfig(rng);
+      config.verify_selection = true;
+      Fleet fleet(fleet_size, config);
       ExpectIndexedMatchesOracle(fleet);
       const int steps = 400;
       for (int step = 0; step < steps; ++step) {
@@ -250,8 +251,8 @@ TEST(SelectionIndexPropertyTest, HeapCompactionPreservesAgreement) {
   DispatchConfig config;
   config.push_mode = PushMode::kSelectiveOutstanding;
   config.max_outstanding_per_replica = 8;
+  config.verify_selection = true;
   Fleet fleet(5, config);
-  fleet.engine->set_verify_selection(true);
   Rng rng(42);
   for (int step = 0; step < 5000; ++step) {
     const ReplicaId id = static_cast<ReplicaId>(rng.UniformInt(0, 4));
