@@ -69,7 +69,7 @@ const MetricRow* FindRow(const std::vector<MetricRow>& rows,
 // selection entry points directly and never dispatches.
 class NullSelector : public ReplicaSelector {
  public:
-  ReplicaId SelectReplica(const Queued&, const CandidateView&) override {
+  ReplicaId SelectReplica(const Queued&, const DispatchEngine&) override {
     return kInvalidReplica;
   }
 };

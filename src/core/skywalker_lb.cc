@@ -31,27 +31,9 @@ SkyWalkerLb::SkyWalkerLb(Simulator* sim, Network* net, LbId id,
       config_(config),
       replica_trie_(kTrieCapacityTokens),
       snapshot_trie_(kTrieCapacityTokens),
-      engine_(sim, net, region, config.engine, /*selector=*/this,
-              EngineCallbacks()) {}
+      engine_(sim, net, region, config.engine, /*selector=*/this) {}
 
 SkyWalkerLb::~SkyWalkerLb() = default;
-
-HostCallbacks SkyWalkerLb::EngineCallbacks() {
-  // The cross-region half of the balancer, bound hook by hook. The lambdas
-  // capture `this` only; none runs before construction completes.
-  HostCallbacks callbacks;
-  callbacks.should_dispatch = [this] { return Serving(); };
-  callbacks.on_queue_head = [this](Queued& head) { return OnQueueHead(head); };
-  callbacks.on_unplaced = [this](Queued& head) { return OnUnplaced(head); };
-  callbacks.on_local_dispatch = [this](const Queued& queued,
-                                       ReplicaId replica_id) {
-    OnLocalDispatch(queued, replica_id);
-  };
-  callbacks.on_probe_tick = [this] { OnProbeTick(); };
-  callbacks.on_after_replica_probes = [this] { OnAfterReplicaProbes(); };
-  callbacks.on_replica_probe_result = [this] { OnReplicaProbeResult(); };
-  return callbacks;
-}
 
 void SkyWalkerLb::AttachReplica(Replica* replica) {
   engine_.AttachReplica(replica);
@@ -142,13 +124,12 @@ SkyWalkerLb::PeerState* SkyWalkerLb::FindPeer(LbId lbid) {
 void SkyWalkerLb::HandleRequest(Request req, RequestCallbacks callbacks) {
   if (!Serving()) {
     // Connection refused; the client re-resolves DNS and retries.
-    ++errors_reported_;
+    ++stats_.errors_reported;
     if (callbacks.on_error) {
       callbacks.on_error();
     }
     return;
   }
-  ++received_client_;
   Queued queued;
   queued.req = std::move(req);
   queued.callbacks = std::move(callbacks);
@@ -158,13 +139,13 @@ void SkyWalkerLb::HandleRequest(Request req, RequestCallbacks callbacks) {
 void SkyWalkerLb::HandleForwarded(Request req, RequestCallbacks callbacks,
                                   RegionId origin_lb_region) {
   if (!Serving()) {
-    ++errors_reported_;
+    ++stats_.errors_reported;
     if (callbacks.on_error) {
       callbacks.on_error();
     }
     return;
   }
-  ++received_forwarded_;
+  ++stats_.received_forwarded;
   Queued queued;
   queued.req = std::move(req);
   queued.callbacks = std::move(callbacks);
@@ -174,10 +155,8 @@ void SkyWalkerLb::HandleForwarded(Request req, RequestCallbacks callbacks,
 }
 
 ReplicaId SkyWalkerLb::SelectReplica(const Queued& queued,
-                                     const CandidateView& candidates) {
-  auto avail = [&candidates](TargetId id) {
-    return candidates.IsAvailable(id);
-  };
+                                     const DispatchEngine& engine) {
+  auto avail = [&engine](TargetId id) { return engine.IsAvailable(id); };
 
   if (config_.routing.policy == RoutingPolicyKind::kConsistentHash) {
     uint64_t key = HashString(queued.req.routing_key);
@@ -190,7 +169,7 @@ ReplicaId SkyWalkerLb::SelectReplica(const Queued& queued,
   if (config_.routing.short_prompt_threshold > 0 &&
       queued.req.prompt_tokens() < config_.routing.short_prompt_threshold) {
     // OnLocalDispatch records the placement in the trie as usual.
-    return candidates.LeastLoadedAvailable();
+    return engine.LeastLoadedAvailable();
   }
   RoutingTrie::Match match = replica_trie_.MatchBest(queued.req.prompt, avail);
   double ratio = queued.req.prompt.empty()
@@ -200,27 +179,26 @@ ReplicaId SkyWalkerLb::SelectReplica(const Queued& queued,
   if (!match.candidates.empty() && ratio >= config_.routing.explore_threshold) {
     // Longest-prefix placement; tie-break toward the least-loaded candidate
     // recorded at the deepest usable node.
-    ReplicaId best = candidates.LeastLoadedAmong(match.candidates);
+    ReplicaId best = engine.LeastLoadedAmong(match.candidates);
     if (best != kInvalidReplica) {
       return best;
     }
   }
   // Low affinity: spread load across under-utilized available replicas.
-  return candidates.LeastLoadedAvailable();
+  return engine.LeastLoadedAvailable();
+}
+
+bool SkyWalkerLb::PeerForwardable(LbId peer_id) const {
+  auto it = peers_.find(peer_id);
+  if (it == peers_.end() || !PeerAvailable(it->second)) {
+    return false;
+  }
+  return !config_.forward_allowed ||
+         config_.forward_allowed(region_, it->second.peer->region());
 }
 
 LbId SkyWalkerLb::StickyRemotePeer(const Queued& queued) {
-  auto avail = [this](TargetId id) {
-    auto it = peers_.find(id);
-    if (it == peers_.end() || !PeerAvailable(it->second)) {
-      return false;
-    }
-    if (config_.forward_allowed &&
-        !config_.forward_allowed(region_, it->second.peer->region())) {
-      return false;
-    }
-    return true;
-  };
+  auto avail = [this](TargetId id) { return PeerForwardable(id); };
   RoutingTrie::Match match = snapshot_trie_.MatchBest(queued.req.prompt, avail);
   if (match.candidates.empty() || queued.req.prompt.empty()) {
     return kInvalidLb;
@@ -233,17 +211,7 @@ LbId SkyWalkerLb::StickyRemotePeer(const Queued& queued) {
 }
 
 LbId SkyWalkerLb::SelectPeer(const Queued& queued) {
-  auto avail = [this](TargetId id) {
-    auto it = peers_.find(id);
-    if (it == peers_.end() || !PeerAvailable(it->second)) {
-      return false;
-    }
-    if (config_.forward_allowed &&
-        !config_.forward_allowed(region_, it->second.peer->region())) {
-      return false;
-    }
-    return true;
-  };
+  auto avail = [this](TargetId id) { return PeerForwardable(id); };
 
   if (config_.routing.policy == RoutingPolicyKind::kConsistentHash) {
     uint64_t key = HashString(queued.req.routing_key);
@@ -319,7 +287,7 @@ void SkyWalkerLb::Forward(Queued queued, LbId peer_id) {
   SKYWALKER_CHECK(state != nullptr);
   SkyWalkerLb* peer = state->peer;
   ++state->forwards_since_probe;
-  ++forwarded_out_;
+  ++stats_.forwarded_out;
 
   if (config_.routing.policy == RoutingPolicyKind::kPrefixTree) {
     // Regional snapshot update (§4.1): remember what this region offloaded
@@ -359,7 +327,6 @@ void SkyWalkerLb::OnReplicaProbeResult() {
 void SkyWalkerLb::OnAfterReplicaProbes() {
   // Peer LB availability: (available replicas, queue size, overload bit).
   for (auto& [lbid, state] : peers_) {
-    ++peer_probes_sent_;
     SkyWalkerLb* peer = state.peer;
     RegionId peer_region = peer->region();
     LbId peer_id = lbid;
@@ -387,7 +354,7 @@ void SkyWalkerLb::OnAfterReplicaProbes() {
 void SkyWalkerLb::Fail() {
   status_ = HealthStatus::kFailed;
   engine_.Stop();
-  errors_reported_ += engine_.FlushQueueWithError();
+  stats_.errors_reported += engine_.FlushQueueWithError();
 }
 
 void SkyWalkerLb::Recover() {
@@ -399,24 +366,6 @@ void SkyWalkerLb::Recover() {
     state.forwards_since_probe = 0;
   }
   engine_.Start();
-}
-
-SkyWalkerLb::Stats SkyWalkerLb::stats() const {
-  Stats stats;
-  stats.received_client = received_client_;
-  stats.received_forwarded = received_forwarded_;
-  stats.dispatched_local = engine_.stats().dispatched;
-  stats.forwarded_out = forwarded_out_;
-  stats.probes_sent = engine_.stats().probes_sent + peer_probes_sent_;
-  stats.errors_reported = errors_reported_;
-  stats.max_queue_len = engine_.stats().max_queue_len;
-  stats.queue_wait_sec = engine_.stats().queue_wait_sec;
-  stats.request_timeouts = engine_.stats().request_timeouts;
-  stats.probe_misses = engine_.stats().probe_misses;
-  stats.ejections = engine_.stats().ejections;
-  stats.recoveries = engine_.stats().recoveries;
-  stats.late_completions = engine_.stats().late_completions;
-  return stats;
 }
 
 }  // namespace skywalker

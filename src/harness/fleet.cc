@@ -84,7 +84,7 @@ BaselineSystem BuildBaseline(const FleetSpec& spec, Network* net) {
   Simulator* central_sim = net->SimForRegion(kCentralLbRegion);
   if (spec.system == SystemKind::kGkeGateway) {
     system.gateway =
-        std::make_unique<GatewayLb>(central_sim, net, GatewayConfig{});
+        std::make_unique<GatewayLb>(central_sim, net);
     auto resolver = std::make_unique<NearestFrontendResolver>(&net->topology());
     for (const auto& replica : system.replicas) {
       system.gateway->AttachReplica(replica.get());
@@ -446,7 +446,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
       result.issued - result.completed_total - result.client_errors;
   if (skywalker) {
     for (const auto& lb : deployment->lbs()) {
-      SkyWalkerLb::Stats lb_stats = lb->stats();
+      const DispatchEngine::Stats& lb_stats = lb->engine().stats();
       result.request_timeouts += lb_stats.request_timeouts;
       result.probe_misses += lb_stats.probe_misses;
       result.ejections += lb_stats.ejections;

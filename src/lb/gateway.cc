@@ -7,6 +7,14 @@
 
 namespace skywalker {
 
+namespace {
+
+// A cluster is considered saturated when its mean outstanding requests per
+// replica reaches this value; traffic then spills to other clusters.
+constexpr double kSpillOutstandingPerReplica = 16.0;
+
+}  // namespace
+
 class GatewayLb::Endpoint : public Frontend {
  public:
   Endpoint(GatewayLb* owner, RegionId region) : owner_(owner), region_(region) {}
@@ -22,8 +30,7 @@ class GatewayLb::Endpoint : public Frontend {
   RegionId region_;
 };
 
-GatewayLb::GatewayLb(Simulator* sim, Network* net, const GatewayConfig& config)
-    : sim_(sim), net_(net), config_(config) {}
+GatewayLb::GatewayLb(Simulator* sim, Network* net) : sim_(sim), net_(net) {}
 
 GatewayLb::~GatewayLb() = default;
 
@@ -57,13 +64,13 @@ GatewayLb::Cluster* GatewayLb::ClusterFor(RegionId region) {
 }
 
 GatewayLb::Cluster* GatewayLb::PickCluster(RegionId client_cluster_region) {
-  auto under_threshold = [this](const Cluster& c) {
+  auto under_threshold = [](const Cluster& c) {
     if (c.replicas.empty()) {
       return false;
     }
     double mean = static_cast<double>(c.TotalOutstanding()) /
                   static_cast<double>(c.replicas.size());
-    return mean < config_.spill_outstanding_per_replica;
+    return mean < kSpillOutstandingPerReplica;
   };
 
   Cluster* local = ClusterFor(client_cluster_region);

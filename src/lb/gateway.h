@@ -23,15 +23,9 @@
 
 namespace skywalker {
 
-struct GatewayConfig {
-  // A cluster is considered saturated when its mean outstanding requests
-  // per replica reaches this value; traffic then spills to other clusters.
-  double spill_outstanding_per_replica = 16.0;
-};
-
 class GatewayLb {
  public:
-  GatewayLb(Simulator* sim, Network* net, const GatewayConfig& config);
+  GatewayLb(Simulator* sim, Network* net);
   ~GatewayLb();
 
   GatewayLb(const GatewayLb&) = delete;
@@ -75,7 +69,6 @@ class GatewayLb {
 
   Simulator* sim_;
   Network* net_;
-  GatewayConfig config_;
   std::map<RegionId, Cluster> clusters_;
   std::map<RegionId, std::unique_ptr<Endpoint>> endpoints_;
   Stats stats_;

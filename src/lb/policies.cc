@@ -23,16 +23,16 @@ constexpr int64_t kSglTreeDecayTokens = 49152;
 }  // namespace
 
 ReplicaId RoundRobinSelector::SelectReplica(const Queued& /*queued*/,
-                                            const CandidateView& candidates) {
-  const size_t n = candidates.size();
+                                            const DispatchEngine& engine) {
+  const size_t n = engine.num_replicas();
   if (n == 0) {
     return kInvalidReplica;
   }
   // Walk the replica registry starting at next_, skipping unavailable.
   for (size_t i = 0; i < n; ++i) {
     size_t idx = (next_ + i) % n;
-    const ReplicaState& state = candidates[idx];
-    if (candidates.IsAvailable(state)) {
+    const ReplicaState& state = engine.replicas()[idx];
+    if (engine.IsAvailable(state)) {
       next_ = idx + 1;
       return state.replica->id();
     }
@@ -41,8 +41,8 @@ ReplicaId RoundRobinSelector::SelectReplica(const Queued& /*queued*/,
 }
 
 ReplicaId LeastLoadSelector::SelectReplica(const Queued& /*queued*/,
-                                           const CandidateView& candidates) {
-  return candidates.LeastLoadedAvailable();
+                                           const DispatchEngine& engine) {
+  return engine.LeastLoadedAvailable();
 }
 
 void ConsistentHashSelector::OnReplicaAttached(Replica* replica) {
@@ -53,11 +53,11 @@ void ConsistentHashSelector::OnReplicaDetached(ReplicaId replica_id) {
   ring_.RemoveTarget(replica_id);
 }
 
-ReplicaId ConsistentHashSelector::SelectReplica(
-    const Queued& queued, const CandidateView& candidates) {
+ReplicaId ConsistentHashSelector::SelectReplica(const Queued& queued,
+                                               const DispatchEngine& engine) {
   uint64_t key = HashString(queued.req.routing_key);
   TargetId target = ring_.LookupAvailable(
-      key, [&candidates](TargetId id) { return candidates.IsAvailable(id); });
+      key, [&engine](TargetId id) { return engine.IsAvailable(id); });
   return target == kInvalidTarget ? kInvalidReplica : target;
 }
 
@@ -69,8 +69,8 @@ void SglRouterSelector::OnReplicaDetached(ReplicaId replica_id) {
 }
 
 ReplicaId SglRouterSelector::SelectReplica(const Queued& queued,
-                                           const CandidateView& candidates) {
-  auto pred = [&candidates](TargetId id) { return candidates.IsAvailable(id); };
+                                           const DispatchEngine& engine) {
+  auto pred = [&engine](TargetId id) { return engine.IsAvailable(id); };
   RoutingTrie::Match match = trie_.MatchBest(queued.req.prompt, pred);
 
   ReplicaId chosen = kInvalidReplica;
@@ -85,9 +85,8 @@ ReplicaId SglRouterSelector::SelectReplica(const Queued& queued,
     // Cache-aware fallback (SGLang v0.4): the available worker with the
     // smallest approximate radix tree, i.e. the most free cache space.
     int64_t best_tokens = std::numeric_limits<int64_t>::max();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const ReplicaState& state = candidates[i];
-      if (!candidates.IsAvailable(state)) {
+    for (const ReplicaState& state : engine.replicas()) {
+      if (!engine.IsAvailable(state)) {
         continue;
       }
       ReplicaId rid = state.replica->id();

@@ -31,7 +31,7 @@ namespace skywalker {
 class RoundRobinSelector : public ReplicaSelector {
  public:
   ReplicaId SelectReplica(const Queued& queued,
-                          const CandidateView& candidates) override;
+                          const DispatchEngine& engine) override;
 
  private:
   size_t next_ = 0;
@@ -40,13 +40,13 @@ class RoundRobinSelector : public ReplicaSelector {
 class LeastLoadSelector : public ReplicaSelector {
  public:
   ReplicaId SelectReplica(const Queued& queued,
-                          const CandidateView& candidates) override;
+                          const DispatchEngine& engine) override;
 };
 
 class ConsistentHashSelector : public ReplicaSelector {
  public:
   ReplicaId SelectReplica(const Queued& queued,
-                          const CandidateView& candidates) override;
+                          const DispatchEngine& engine) override;
   void OnReplicaAttached(Replica* replica) override;
   void OnReplicaDetached(ReplicaId replica_id) override;
 
@@ -59,7 +59,7 @@ class SglRouterSelector : public ReplicaSelector {
   SglRouterSelector();
 
   ReplicaId SelectReplica(const Queued& queued,
-                          const CandidateView& candidates) override;
+                          const DispatchEngine& engine) override;
   void OnReplicaDetached(ReplicaId replica_id) override;
 
  private:

@@ -563,8 +563,6 @@ void Replica::ReclaimMemory() {
 }
 
 void Replica::SampleMemory() {
-  stats_.peak_memory_utilization =
-      std::max(stats_.peak_memory_utilization, memory_utilization());
   kv_.NoteFragmentationSample(fragmentation_tokens());
   if (Tracer* t = sim_->tracer();
       t != nullptr && stats_.engine_steps % kMemSampleEverySteps == 0) {

@@ -138,7 +138,6 @@ class Replica {
     int64_t preemptions = 0;  // Recompute + swap victims.
     int64_t dropped_requests = 0;  // Arrivals while failed (vanish, §10).
     int64_t engine_steps = 0;
-    double peak_memory_utilization = 0;
     int peak_running = 0;
     int peak_pending = 0;
   };

@@ -26,64 +26,16 @@ constexpr int kMinLatencyHosts = 3;
 
 }  // namespace
 
-// --- CandidateView -----------------------------------------------------
-
-size_t CandidateView::size() const { return engine_->num_replicas(); }
-
-const ReplicaState& CandidateView::operator[](size_t index) const {
-  return engine_->replicas()[index];
-}
-
-const ReplicaState* CandidateView::Find(ReplicaId id) const {
-  return engine_->FindReplica(id);
-}
-
-bool CandidateView::IsAvailable(const ReplicaState& state) const {
-  return engine_->IsAvailable(state);
-}
-
-bool CandidateView::IsAvailable(ReplicaId id) const {
-  return engine_->IsAvailable(id);
-}
-
-double CandidateView::EffectiveLoad(const ReplicaState& state) const {
-  return engine_->EffectiveLoadOf(state);
-}
-
-ReplicaId CandidateView::LeastLoadedAvailable() const {
-  return engine_->LeastLoadedAvailable();
-}
-
-ReplicaId CandidateView::LeastLoadedAmong(
-    const std::vector<int32_t>& candidates) const {
-  ReplicaId best = kInvalidReplica;
-  double best_load = std::numeric_limits<double>::infinity();
-  for (int32_t candidate : candidates) {
-    const ReplicaState* state = Find(candidate);
-    if (state == nullptr) {
-      continue;
-    }
-    const double load = EffectiveLoad(*state);
-    if (load < best_load) {
-      best = candidate;
-      best_load = load;
-    }
-  }
-  return best;
-}
-
 // --- DispatchEngine ----------------------------------------------------
 
 DispatchEngine::DispatchEngine(Simulator* sim, Network* net, RegionId region,
                                const DispatchConfig& config,
-                               ReplicaSelector* selector,
-                               HostCallbacks callbacks)
+                               ReplicaSelector* selector)
     : sim_(sim),
       net_(net),
       region_(region),
       config_(config),
-      selector_(selector),
-      callbacks_(std::move(callbacks)) {
+      selector_(selector) {
   SKYWALKER_CHECK(selector_ != nullptr) << "engine needs a replica selector";
   probe_task_ = std::make_unique<PeriodicTask>(sim_, config_.probe_interval,
                                                [this] { ProbeAll(); });
@@ -310,6 +262,24 @@ ReplicaId DispatchEngine::LeastLoadedAvailableLinear() const {
   return best;
 }
 
+ReplicaId DispatchEngine::LeastLoadedAmong(
+    const std::vector<int32_t>& candidates) const {
+  ReplicaId best = kInvalidReplica;
+  double best_load = std::numeric_limits<double>::infinity();
+  for (int32_t candidate : candidates) {
+    const ReplicaState* state = FindReplica(candidate);
+    if (state == nullptr) {
+      continue;
+    }
+    const double load = EffectiveLoadOf(*state);
+    if (load < best_load) {
+      best = candidate;
+      best_load = load;
+    }
+  }
+  return best;
+}
+
 std::vector<int> DispatchEngine::OutstandingSnapshot() const {
   std::vector<int> out;
   out.reserve(replicas_.size());
@@ -339,34 +309,30 @@ void DispatchEngine::RecordDequeue(SimTime lb_arrival) {
 }
 
 void DispatchEngine::TryDispatch() {
-  while ((!callbacks_.should_dispatch || callbacks_.should_dispatch()) &&
-         !queue_.empty()) {
+  while (selector_->ShouldDispatch() && !queue_.empty()) {
     Queued& head = queue_.front();
     const SimTime lb_arrival = head.lb_arrival;
-    if (callbacks_.on_queue_head) {
-      HeadAction action = callbacks_.on_queue_head(head);
-      if (action == HeadAction::kStall) {
-        return;
-      }
-      if (action == HeadAction::kTaken) {
-        RecordDequeue(lb_arrival);
-        queue_.pop_front();
-        continue;
-      }
+    const HeadAction action = selector_->OnQueueHead(head);
+    if (action == HeadAction::kStall) {
+      return;
     }
-    ReplicaId target = selector_->SelectReplica(head, CandidateView(this));
+    if (action == HeadAction::kTaken) {
+      RecordDequeue(lb_arrival);
+      queue_.pop_front();
+      continue;
+    }
+    ReplicaId target = selector_->SelectReplica(head, *this);
     if (target != kInvalidReplica) {
       if (Tracer* t = sim_->tracer()) {
         // Route decision with the candidate scores the selector saw: one
         // record per candidate (availability + effective load), then the
         // decision itself. Emitted only on a committed placement so a
         // head-of-line-blocked queue does not flood the trace.
-        const CandidateView view(this);
         const int64_t rid = static_cast<int64_t>(head.req.id);
         for (const ReplicaState& state : replicas_) {
           EmitTrace(t, sim_->now(), TraceEventType::kRouteCandidate, region_,
                     state.replica->id(), rid, IsAvailable(state) ? 1 : 0, 0,
-                    view.EffectiveLoad(state));
+                    EffectiveLoadOf(state));
         }
         EmitTrace(t, sim_->now(), TraceEventType::kRouteDecision, region_,
                   target, rid, static_cast<int64_t>(queue_.size()), 0,
@@ -377,8 +343,7 @@ void DispatchEngine::TryDispatch() {
       DispatchTo(std::move(queued), target);
       continue;
     }
-    if (callbacks_.on_unplaced &&
-        callbacks_.on_unplaced(head) == HeadAction::kTaken) {
+    if (selector_->OnUnplaced(head) == HeadAction::kTaken) {
       RecordDequeue(lb_arrival);
       queue_.pop_front();
       continue;
@@ -435,9 +400,7 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
               static_cast<int64_t>(queued.req.id), 0, 0,
               static_cast<double>(sim_->now() - queued.lb_arrival));
   }
-  if (callbacks_.on_local_dispatch) {
-    callbacks_.on_local_dispatch(queued, replica_id);
-  }
+  selector_->OnLocalDispatch(queued, replica_id);
 
   const RegionId client_region = queued.req.client_region;
   const RegionId replica_region = replica->region();
@@ -683,16 +646,12 @@ void DispatchEngine::ApplyProbeResponse(ReplicaId replica_id, int64_t epoch,
               payload.version, payload.pending,
               payload.ewma_decode_us_per_token);
   }
-  if (callbacks_.on_replica_probe_result) {
-    callbacks_.on_replica_probe_result();
-  }
+  selector_->OnReplicaProbeResult();
   TryDispatch();
 }
 
 void DispatchEngine::ProbeAll() {
-  if (callbacks_.on_probe_tick) {
-    callbacks_.on_probe_tick();
-  }
+  selector_->OnProbeTick();
   if (config_.outlier.enabled) {
     EvaluateOutliers();
   }
@@ -787,9 +746,7 @@ void DispatchEngine::ProbeAll() {
       }
     });
   }
-  if (callbacks_.on_after_replica_probes) {
-    callbacks_.on_after_replica_probes();
-  }
+  selector_->OnAfterReplicaProbes();
 }
 
 int64_t DispatchEngine::FlushQueueWithError() {

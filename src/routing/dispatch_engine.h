@@ -27,12 +27,12 @@
 //    with bounded max-ejection fraction and half-open recovery. Entirely
 //    inert unless DispatchConfig::outlier.enabled.
 //
-// Placement policy plugs in through ReplicaSelector::SelectReplica over a
-// CandidateView; the cross-region half of a balancer (peer probing,
-// forwarding, stickiness, overload advertisement — src/core) plugs in
-// through the HostCallbacks struct — a documented, narrow surface where
-// every hook has a neutral default (a default-constructed HostCallbacks is
-// a purely local balancer).
+// Everything policy-specific plugs in through one interface,
+// ReplicaSelector: SelectReplica (placement over the engine's const
+// surface) plus the virtual hooks the cross-region half of a balancer (peer
+// probing, forwarding, stickiness, overload advertisement — src/core)
+// overrides. Every hook's default is neutral, so a selector that overrides
+// only SelectReplica is a purely local balancer.
 //
 // Replica state lives in a flat vector with an id -> index side map, so the
 // per-dispatch hot path (availability scans, outstanding updates) is O(1)
@@ -52,7 +52,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -159,97 +158,63 @@ struct Queued {
   RegionId origin_lb_region = kInvalidRegion;
 };
 
-// What a host's queue-head hooks tell the engine to do with the head.
+// What a selector's queue-head hooks tell the engine to do with the head.
 enum class HeadAction {
-  kPlaceLocal,  // Proceed to local placement via the selector.
-  kTaken,       // Host consumed the request (moved it out); pop and
+  kPlaceLocal,  // Proceed to local placement via SelectReplica.
+  kTaken,       // The hook consumed the request (moved it out); pop and
                 // continue with the next queue head.
   kStall,       // Stop dispatching; the head stays queued.
 };
 
-// The cross-region half of a balancer (src/core) plugs into the engine
-// through these hooks. Every member has a neutral default when null, so a
-// default-constructed HostCallbacks is a purely local balancer; adding a
-// hook is a change to this struct and its call site, nothing else.
-struct HostCallbacks {
-  // Gate on every dispatch iteration (e.g. LB health). Null = always true.
-  std::function<bool()> should_dispatch;
-
-  // Pre-placement intercept for the queue head (e.g. sticky remote
-  // affinity). kTaken means the hook moved the request out of `head`.
-  // Null = kPlaceLocal.
-  std::function<HeadAction(Queued& head)> on_queue_head;
-
-  // Local placement failed for `head` (no available replica accepted by
-  // the selector). The hook may consume it (cross-region forwarding) by
-  // moving it out and returning kTaken; kStall keeps it queued.
-  // kPlaceLocal is treated as kStall. Null = kStall.
-  std::function<HeadAction(Queued& head)> on_unplaced;
-
-  // A request was committed to a local replica (record placement in
-  // policy state, refresh last-local-availability, ...). Null = no-op.
-  std::function<void(const Queued& queued, ReplicaId replica_id)>
-      on_local_dispatch;
-
-  // Probe-loop extension points: start of a probe tick (before replica
-  // probes go out), after replica probes were sent (peer probing), and
-  // each time a replica probe response lands (before the engine's
-  // TryDispatch). Null = no-op.
-  std::function<void()> on_probe_tick;
-  std::function<void()> on_after_replica_probes;
-  std::function<void()> on_replica_probe_result;
-};
-
 class DispatchEngine;
 
-// Read-only window over the engine's replicas that a selector sees: indexed
-// iteration in attach order, id lookup, and the engine's push-mode
-// availability test. Also carries the least-loaded scans that several
-// policies share as their fallback.
-class CandidateView {
- public:
-  explicit CandidateView(const DispatchEngine* engine) : engine_(engine) {}
-
-  size_t size() const;
-  const ReplicaState& operator[](size_t index) const;
-  const ReplicaState* Find(ReplicaId id) const;
-
-  // Pushing-discipline availability test (§3.3), delegated to the engine.
-  bool IsAvailable(const ReplicaState& state) const;
-  bool IsAvailable(ReplicaId id) const;
-
-  // Load score the least-loaded selection minimizes: outstanding, plus the
-  // degraded penalty for replicas the health machine has deprioritized (the
-  // soft priority tier of DESIGN.md §10). With health disabled this is
-  // exactly the outstanding count (ties resolved by scan order, as ever).
-  double EffectiveLoad(const ReplicaState& state) const;
-
-  // Lowest-EffectiveLoad *available* replica, or kInvalidReplica.
-  ReplicaId LeastLoadedAvailable() const;
-
-  // Least-outstanding among `candidates` (already filtered for availability
-  // by the caller, e.g. a trie match); kInvalidReplica when none is known.
-  ReplicaId LeastLoadedAmong(const std::vector<int32_t>& candidates) const;
-
- private:
-  const DispatchEngine* engine_;
-};
-
-// Placement policy: chooses a replica for the queue head, or kInvalidReplica
-// to keep it queued. Implementations must only return available replicas
-// (per CandidateView::IsAvailable). A non-invalid return commits the
-// dispatch, so selectors may update their routing state (trie/ring/counters)
-// before returning.
+// The engine's one plug-in interface. SelectReplica is the placement
+// policy: it chooses a replica for the queue head, or kInvalidReplica to
+// keep it queued. Implementations must only return available replicas (per
+// DispatchEngine::IsAvailable). A non-invalid return commits the dispatch,
+// so selectors may update their routing state (trie/ring/counters) before
+// returning.
+//
+// The dispatch-loop and probe-loop hooks below are where the cross-region
+// half of a balancer (src/core) plugs in. Each default is neutral: a
+// selector that overrides none of them is a purely local balancer.
 class ReplicaSelector {
  public:
   virtual ~ReplicaSelector() = default;
 
   virtual ReplicaId SelectReplica(const Queued& queued,
-                                  const CandidateView& candidates) = 0;
+                                  const DispatchEngine& engine) = 0;
 
   // Registry lifecycle notifications (keep rings/tries in sync).
   virtual void OnReplicaAttached(Replica* /*replica*/) {}
   virtual void OnReplicaDetached(ReplicaId /*replica_id*/) {}
+
+  // Gate on every dispatch iteration (e.g. LB health).
+  virtual bool ShouldDispatch() const { return true; }
+
+  // Pre-placement intercept for the queue head (e.g. sticky remote
+  // affinity). kTaken means the hook moved the request out of `head`.
+  virtual HeadAction OnQueueHead(Queued& /*head*/) {
+    return HeadAction::kPlaceLocal;
+  }
+
+  // Local placement failed for `head` (SelectReplica found no replica). The
+  // hook may consume it (cross-region forwarding) by moving it out and
+  // returning kTaken; kStall keeps it queued. kPlaceLocal is treated as
+  // kStall.
+  virtual HeadAction OnUnplaced(Queued& /*head*/) { return HeadAction::kStall; }
+
+  // A request was committed to a local replica (record placement in policy
+  // state, refresh last-local-availability, ...).
+  virtual void OnLocalDispatch(const Queued& /*queued*/,
+                               ReplicaId /*replica_id*/) {}
+
+  // Probe-loop extension points: start of a probe tick (before replica
+  // probes go out), after replica probes were sent (peer probing), and each
+  // time a replica probe response lands (before the engine's TryDispatch).
+  virtual void OnProbeTick() {}
+  virtual void OnAfterReplicaProbes() {}
+  virtual void OnReplicaProbeResult() {}
 };
 
 // The policy-agnostic dispatch machinery. One instance per balancer.
@@ -270,12 +235,9 @@ class DispatchEngine {
     int64_t late_completions = 0;   // Replies landing after their timeout.
   };
 
-  // `selector` is borrowed and must outlive the engine. `callbacks` hooks
-  // may capture the owning balancer; null members take their neutral
-  // defaults.
+  // `selector` is borrowed and must outlive the engine.
   DispatchEngine(Simulator* sim, Network* net, RegionId region,
-                 const DispatchConfig& config, ReplicaSelector* selector,
-                 HostCallbacks callbacks = {});
+                 const DispatchConfig& config, ReplicaSelector* selector);
   ~DispatchEngine();
 
   DispatchEngine(const DispatchEngine&) = delete;
@@ -313,7 +275,10 @@ class DispatchEngine {
   // --- availability (§3.3 + §10) ---
   bool IsAvailable(const ReplicaState& state) const;
   bool IsAvailable(ReplicaId id) const;
-  // The load score selection minimizes (see CandidateView::EffectiveLoad).
+  // Load score the least-loaded selection minimizes: outstanding, plus the
+  // degraded penalty for replicas the health machine has deprioritized (the
+  // soft priority tier of DESIGN.md §10). With health disabled this is
+  // exactly the outstanding count (ties resolved by scan order).
   double EffectiveLoadOf(const ReplicaState& state) const;
   // O(1) reads of the incrementally maintained availability counters.
   bool AnyAvailable() const { return available_count_ > 0; }
@@ -330,6 +295,11 @@ class DispatchEngine {
   // The retained linear scan — the differential oracle the index is
   // verified against (property test + verify mode below).
   ReplicaId LeastLoadedAvailableLinear() const;
+  // Lowest-EffectiveLoad replica among `candidates` (already filtered for
+  // availability by the caller, e.g. a trie match), the earlier candidate
+  // winning ties; unknown ids are skipped. kInvalidReplica when none is
+  // known.
+  ReplicaId LeastLoadedAmong(const std::vector<int32_t>& candidates) const;
   // Rebuilds the index from scratch. Only needed after out-of-band
   // mutations of ReplicaState through the mutable FindReplica (tests);
   // every engine-internal mutation path refreshes the index itself.
@@ -422,7 +392,6 @@ class DispatchEngine {
   RegionId region_;
   DispatchConfig config_;
   ReplicaSelector* selector_;
-  HostCallbacks callbacks_;
 
   // Flat registry: hot-path scans iterate `replicas_`; `index_` maps
   // ReplicaId -> position (swap-remove keeps it dense on detach).

@@ -248,10 +248,10 @@ INSTANTIATE_TEST_SUITE_P(
 class FirstAvailableSelector : public ReplicaSelector {
  public:
   ReplicaId SelectReplica(const Queued& /*queued*/,
-                          const CandidateView& candidates) override {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates.IsAvailable(candidates[i])) {
-        return candidates[i].replica->id();
+                          const DispatchEngine& engine) override {
+    for (const ReplicaState& state : engine.replicas()) {
+      if (engine.IsAvailable(state)) {
+        return state.replica->id();
       }
     }
     return kInvalidReplica;
@@ -312,6 +312,23 @@ TEST(DispatchEngineTest, DetachKeepsFlatRegistryDense) {
   EXPECT_EQ(bench.replicas[1]->stats().enqueued, 0);
   EXPECT_EQ(bench.engine->stats().dispatched, 4);
   EXPECT_EQ(bench.engine->stats().completed, 4);
+}
+
+TEST(DispatchEngineTest, LeastLoadedAmongSkipsUnknownAndKeepsListOrderOnTies) {
+  EngineBench bench(3);
+  const int outstanding[] = {2, 1, 1};
+  for (ReplicaId id = 0; id < 3; ++id) {
+    bench.engine->FindReplica(id)->outstanding = outstanding[id];
+    bench.engine->NoteReplicaMutated(id);
+  }
+  // Unknown id 99 is skipped; replicas 2 and 1 tie at the lowest load and
+  // the earlier one in the list wins.
+  EXPECT_EQ(bench.engine->LeastLoadedAmong({99, 0, 2, 1}), 2);
+  EXPECT_EQ(bench.engine->LeastLoadedAmong({1, 2}), 1);
+  EXPECT_EQ(bench.engine->LeastLoadedAmong({0, 1}), 1);
+  EXPECT_EQ(bench.engine->LeastLoadedAmong({0}), 0);
+  EXPECT_EQ(bench.engine->LeastLoadedAmong({99}), kInvalidReplica);
+  EXPECT_EQ(bench.engine->LeastLoadedAmong({}), kInvalidReplica);
 }
 
 TEST(DispatchEngineTest, FlushQueueWithErrorDrainsAndReports) {

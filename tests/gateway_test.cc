@@ -21,15 +21,14 @@ struct GatewayBench {
   std::unique_ptr<GatewayLb> gateway;
   std::vector<std::unique_ptr<Replica>> replicas;
 
-  explicit GatewayBench(GatewayConfig config = {},
-                        ReplicaConfig rconfig = {}) {
+  GatewayBench() {
     net = std::make_unique<Network>(&sim, topology);
-    gateway = std::make_unique<GatewayLb>(&sim, net.get(), config);
+    gateway = std::make_unique<GatewayLb>(&sim, net.get());
     ReplicaId next = 0;
     for (RegionId region = 0; region < 3; ++region) {
       for (int i = 0; i < 2; ++i) {
         replicas.push_back(
-            std::make_unique<Replica>(&sim, next++, region, rconfig));
+            std::make_unique<Replica>(&sim, next++, region, ReplicaConfig{}));
         gateway->AttachReplica(replicas.back().get());
       }
     }
@@ -82,14 +81,14 @@ TEST(GatewayTest, RoutesToLocalClusterWhenUnderThreshold) {
 }
 
 TEST(GatewayTest, SpillsToNearestClusterWhenSaturated) {
-  GatewayConfig config;
-  config.spill_outstanding_per_replica = 2.0;  // Saturates quickly.
-  GatewayBench bench(config);
+  // 48 requests against 2 local replicas: past the spill threshold of 16
+  // outstanding per replica, the last 16 spill.
+  GatewayBench bench;
   int completed = 0;
   RequestCallbacks callbacks;
   callbacks.on_complete = [&](const RequestOutcome&) { ++completed; };
   Frontend* us = bench.gateway->EndpointFor(0);
-  for (int i = 0; i < 24; ++i) {
+  for (int i = 0; i < 48; ++i) {
     // Long decodes keep outstanding counts up.
     us->HandleRequest(MakeRequest(static_cast<RequestId>(i), 0, 64, 200,
                                   static_cast<Token>(i) * 100000),
@@ -100,7 +99,7 @@ TEST(GatewayTest, SpillsToNearestClusterWhenSaturated) {
   // Spill goes to eu-west (nearest to us-east in ThreeContinents).
   EXPECT_GT(bench.EnqueuedInRegion(1), 0);
   bench.sim.Run();
-  EXPECT_EQ(completed, 24);
+  EXPECT_EQ(completed, 48);
 }
 
 TEST(GatewayTest, LeastConnectionWithinCluster) {
@@ -131,22 +130,22 @@ TEST(GatewayTest, EndpointPerRegionIsStable) {
 }
 
 TEST(GatewayTest, SpilledResponsePathCountsTwoHops) {
-  GatewayConfig config;
-  config.spill_outstanding_per_replica = 0.5;  // Spill almost immediately.
-  GatewayBench bench(config);
+  // 40 requests: the 8 beyond the local cluster's 32-request threshold
+  // spill.
+  GatewayBench bench;
   std::vector<RequestOutcome> outcomes;
   RequestCallbacks callbacks;
   callbacks.on_complete = [&](const RequestOutcome& o) {
     outcomes.push_back(o);
   };
   Frontend* us = bench.gateway->EndpointFor(0);
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 40; ++i) {
     us->HandleRequest(MakeRequest(static_cast<RequestId>(i), 0, 64, 150,
                                   static_cast<Token>(i) * 100000),
                       callbacks);
   }
   bench.sim.Run();
-  ASSERT_EQ(outcomes.size(), 6u);
+  ASSERT_EQ(outcomes.size(), 40u);
   bool saw_spill = false;
   for (const auto& o : outcomes) {
     if (o.forwarded) {

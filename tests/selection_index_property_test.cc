@@ -39,7 +39,7 @@ namespace {
 // never dispatch, so it can decline everything.
 class NullSelector : public ReplicaSelector {
  public:
-  ReplicaId SelectReplica(const Queued&, const CandidateView&) override {
+  ReplicaId SelectReplica(const Queued&, const DispatchEngine&) override {
     return kInvalidReplica;
   }
 };
