@@ -140,9 +140,9 @@ MetricRow RunBlackout(const std::string& label, bool resilience,
                       const ScenarioOptions& options) {
   const ResilienceDurations d = Durations(options);
   FleetSpec spec = BaseSpec(options);
-  // Plain mode: controller failover reassigns replicas across regions,
+  // One shard: controller failover reassigns replicas across regions,
   // which is inherently cross-shard.
-  spec.num_shards = 0;
+  spec.num_shards = 1;
   spec.num_threads = 1;
   // Recovery is driven by the scripted kLbRecover fault below.
   spec.controller.auto_recovery_delay = 0;

@@ -15,6 +15,7 @@
 // (`skybench --scenario=micro_datastructures --threads=1`).
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -360,10 +361,12 @@ Scenario MakeMicroDatastructuresScenario() {
         EventQueue queue;
         Rng rng(MixSeed(10, stream));
         SimTime now = 0;
+        uint64_t seq = 0;
         std::vector<EventId> pending(4096, kInvalidEventId);
         for (size_t i = 0; i < pending.size(); ++i) {
           pending[i] = queue.Push(
-              now + static_cast<SimTime>(rng.UniformInt(0, 1000000)), [] {});
+              now + static_cast<SimTime>(rng.UniformInt(0, 1000000)),
+              MakeOrderKey(0, ++seq), 0, [] {});
         }
         size_t cursor = 0;
         return std::vector<MetricRow>{
@@ -373,7 +376,7 @@ Scenario MakeMicroDatastructuresScenario() {
               // precedes the pop, so the queue can never drain.
               pending[cursor] = queue.Push(
                   now + static_cast<SimTime>(rng.UniformInt(1, 1000000)),
-                  [] {});
+                  MakeOrderKey(0, ++seq), 0, [] {});
               size_t victim = (cursor + pending.size() / 2) % pending.size();
               queue.Cancel(pending[victim]);
               cursor = (cursor + 1) % pending.size();
@@ -393,10 +396,11 @@ Scenario MakeMicroDatastructuresScenario() {
             Rng rng(MixSeed(8, stream));
             // Keep a steady backlog of `backlog` events.
             SimTime now = 0;
+            uint64_t seq = 0;
             for (int64_t i = 0; i < backlog; ++i) {
               queue.Push(
                   now + static_cast<SimTime>(rng.UniformInt(0, 1000000)),
-                  [] {});
+                  MakeOrderKey(0, ++seq), 0, [] {});
             }
             return std::vector<MetricRow>{
                 TimedRow(label, large, [&](int64_t) {
@@ -404,7 +408,7 @@ Scenario MakeMicroDatastructuresScenario() {
                   now = event.at;
                   queue.Push(
                       now + static_cast<SimTime>(rng.UniformInt(1, 1000000)),
-                      [] {});
+                      MakeOrderKey(0, ++seq), 0, [] {});
                   return static_cast<double>(now % 1024);
                 })};
           }});

@@ -49,7 +49,6 @@ class Json {
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
   bool is_array() const { return type_ == Type::kArray; }

@@ -96,8 +96,6 @@ class Slab {
 
   // Objects currently allocated (excludes free-listed ones).
   size_t live() const { return live_; }
-  // Total objects ever created (allocated + free-listed).
-  size_t high_water() const { return high_water_; }
 
  private:
   std::vector<std::unique_ptr<T[]>> chunks_;

@@ -29,7 +29,7 @@ void Controller::ManageLb(SkyWalkerLb* lb) {
 }
 
 void Controller::Start() {
-  // Keyed-ordering scope for the probe loop (no-op in plain mode).
+  // Region scope for the probe loop.
   sim_->SetCurrentRegion(kControllerRegion);
   probe_task_->StartWithDelay(0);
 }

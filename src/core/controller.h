@@ -18,8 +18,8 @@
 
 namespace skywalker {
 
-// Region the controller's own events (health-probe loop) are keyed to in
-// sharded mode; the controller lives on that region's shard.
+// Region the controller's own events (health-probe loop) are keyed to; the
+// controller lives on that region's shard.
 inline constexpr RegionId kControllerRegion = 0;
 
 struct ControllerConfig {

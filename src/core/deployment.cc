@@ -18,8 +18,7 @@ std::unique_ptr<Deployment> Deployment::Build(Simulator* sim, Network* net,
   LbId next_lb = 0;
   for (RegionId region = 0;
        region < static_cast<RegionId>(topology.num_regions()); ++region) {
-    // Shard affinity: every actor runs on its own region's simulator (the
-    // one simulator in plain mode).
+    // Shard affinity: every actor runs on its own region's simulator.
     Simulator* region_sim = net->SimForRegion(region);
     auto lb = std::make_unique<SkyWalkerLb>(region_sim, net, next_lb++,
                                             region, spec.lb_config);

@@ -23,8 +23,6 @@ class NearestFrontendResolver : public FrontendResolver {
   // Nearest healthy frontend; nullptr when none is healthy.
   Frontend* Resolve(RegionId client_region) override;
 
-  size_t num_frontends() const { return frontends_.size(); }
-
  private:
   const Topology* topology_;
   std::vector<Frontend*> frontends_;

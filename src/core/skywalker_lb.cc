@@ -72,8 +72,8 @@ std::vector<Replica*> SkyWalkerLb::ManagedReplicas() const {
 }
 
 void SkyWalkerLb::Start() {
-  // Keyed-ordering scope: events armed here (the probe loop) originate from
-  // this LB's region. No-op in plain mode.
+  // Region scope: events armed here (the probe loop) originate from this
+  // LB's region.
   sim_->SetCurrentRegion(region_);
   engine_.Start();
 }

@@ -170,28 +170,16 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   const bool skywalker = spec.system == SystemKind::kSkyWalker;
   const bool lb_faults =
       std::any_of(spec.faults.begin(), spec.faults.end(), IsLbFault);
-  SKYWALKER_CHECK(spec.num_shards <= 0 || (skywalker && !lb_faults))
-      << "sharded fleets run SkyWalker without LB fail/recover faults";
+  SKYWALKER_CHECK(spec.num_shards <= 1 || (skywalker && !lb_faults))
+      << "more than one shard requires SkyWalker without LB fail/recover "
+         "faults";
   SKYWALKER_CHECK(skywalker || !lb_faults) << "LB faults need SkyWalker LBs";
 
-  // --- simulation substrate: plain reference or sharded ---
-  std::unique_ptr<Simulator> plain_sim;
-  std::unique_ptr<ShardedSimulator> sharded;
-  std::unique_ptr<Network> net;
-  if (spec.num_shards <= 0) {
-    plain_sim = std::make_unique<Simulator>();
-    net = std::make_unique<Network>(plain_sim.get(), topology);
-    if (spec.tracer != nullptr) {
-      plain_sim->SetTracer(spec.tracer);
-    }
-  } else {
-    sharded = std::make_unique<ShardedSimulator>(topology, spec.num_shards,
-                                                 spec.num_threads);
-    net = std::make_unique<Network>(sharded.get());
-    if (spec.tracer != nullptr) {
-      sharded->SetTracer(spec.tracer);
-    }
-  }
+  // --- simulation substrate ---
+  ShardedSimulator sim(topology, std::max(spec.num_shards, 1),
+                       spec.num_threads);
+  Network net(&sim);
+  sim.SetTracer(spec.tracer);
 
   // --- serving system: SkyWalker deployment or a baseline ---
   std::unique_ptr<Deployment> deployment;
@@ -202,10 +190,10 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     dspec.replica_config = spec.replica_config;
     dspec.lb_config = spec.lb;
     dspec.controller_config = spec.controller;
-    Simulator* controller_sim = net->SimForRegion(kControllerRegion);
-    deployment = Deployment::Build(controller_sim, net.get(), dspec);
+    Simulator* controller_sim = net.SimForRegion(kControllerRegion);
+    deployment = Deployment::Build(controller_sim, &net, dspec);
   } else {
-    baseline = BuildBaseline(spec, net.get());
+    baseline = BuildBaseline(spec, &net);
   }
   const std::vector<std::unique_ptr<Replica>>& replicas =
       skywalker ? deployment->replicas() : baseline.replicas;
@@ -232,7 +220,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   uint64_t index = 0;
   for (const Cohort& cohort : Cohorts(spec)) {
     const ClientGroup& group = cohort.group;
-    Simulator* region_sim = net->SimForRegion(group.region);
+    Simulator* region_sim = net.SimForRegion(group.region);
     MetricsCollector* collector =
         collectors[static_cast<size_t>(group.region)].get();
     for (int i = 0; i < group.count; ++i, ++index) {
@@ -245,13 +233,13 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
         conversation_gens.push_back(std::make_unique<ConversationGenerator>(
             base_gen, index, generator_seed, cohort.legacy_token_band));
         clients.push_back(std::make_unique<ConversationClient>(
-            region_sim, net.get(), resolver, conversation_gens.back().get(),
+            region_sim, &net, resolver, conversation_gens.back().get(),
             collector, group.region, client_config, client_seed));
       } else {
         tot_gens.push_back(
             std::make_unique<ToTGenerator>(group.tot, index, generator_seed));
         clients.push_back(std::make_unique<ToTClient>(
-            region_sim, net.get(), resolver, tot_gens.back().get(), collector,
+            region_sim, &net, resolver, tot_gens.back().get(), collector,
             group.region, client_config, client_seed));
       }
       // Stagger start over the first 5 s, independently per client (a shared
@@ -275,7 +263,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
 
   // --- scheduled faults, each an event on the faulted region's shard ---
   for (const FleetFault& fault : spec.faults) {
-    Simulator* region_sim = net->SimForRegion(fault.region);
+    Simulator* region_sim = net.SimForRegion(fault.region);
     region_sim->SetCurrentRegion(fault.region);
     switch (fault.kind) {
       case FleetFault::kLbFail: {
@@ -287,7 +275,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
       case FleetFault::kLbRecover: {
         // Controller-led recovery returns displaced replicas home; if the
         // controller never executed failover, recover the LB directly.
-        // Touches two LBs' replica sets, so plain mode only (checked above).
+        // Touches two LBs' replica sets, so one shard only (checked above).
         SkyWalkerLb* lb = deployment->LbInRegion(fault.region);
         SKYWALKER_CHECK(lb != nullptr);
         Controller* controller = deployment->controller();
@@ -339,7 +327,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   std::vector<std::unique_ptr<PeriodicTask>> samplers;
   for (RegionId region = 0; region < static_cast<RegionId>(num_regions);
        ++region) {
-    Simulator* region_sim = net->SimForRegion(region);
+    Simulator* region_sim = net.SimForRegion(region);
     const std::vector<size_t>& mine = region_replicas[static_cast<size_t>(region)];
     auto sampler = std::make_unique<PeriodicTask>(
         region_sim, Seconds(1),
@@ -362,12 +350,7 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   // --- run ---
   const auto wall0 = std::chrono::steady_clock::now();
   const SimTime run_end = measure_end + spec.drain;
-  size_t executed = 0;
-  if (sharded != nullptr) {
-    executed = sharded->RunUntil(run_end);
-  } else {
-    executed = plain_sim->RunUntil(run_end);
-  }
+  const size_t executed = sim.RunUntil(run_end);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
@@ -456,17 +439,15 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
     result.failovers = deployment->controller()->stats().failovers_handled;
   }
 
-  result.messages_sent = net->messages_sent();
-  result.cross_region_messages = net->cross_region_messages();
+  result.messages_sent = net.messages_sent();
+  result.cross_region_messages = net.cross_region_messages();
   result.executed_events = executed;
   result.run_wall_seconds = wall_seconds;
-  if (sharded != nullptr) {
-    result.shard_timing = sharded->Timing();
-    result.windows = sharded->windows();
-    result.lookahead = sharded->lookahead();
-    result.num_shards = sharded->num_shards();
-    result.num_threads = sharded->num_threads();
-  }
+  result.shard_timing = sim.Timing();
+  result.windows = sim.windows();
+  result.lookahead = sim.lookahead();
+  result.num_shards = sim.num_shards();
+  result.num_threads = sim.num_threads();
   return result;
 }
 

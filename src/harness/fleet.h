@@ -1,21 +1,21 @@
 // The experiment harness. RunFleetExperiment builds one serving system —
 // SkyWalker's regional LBs, the GKE-style gateway, or a single central
 // RR/LL/CH/SGL balancer — plus its closed-loop client population, runs it on
-// a plain Simulator (the reference) or a region-sharded ShardedSimulator,
-// and summarizes the paper's metrics. Every whole-fleet figure (fig08,
-// fig10, the ablations, fig_fleet_scale, fig_resilience) runs through it.
+// a region-sharded ShardedSimulator (one shard by default), and summarizes
+// the paper's metrics. Every whole-fleet figure (fig08, fig10, the
+// ablations, fig_fleet_scale, fig_resilience) runs through it.
 //
 // Determinism: each client's generator fork, RNG stream, start stagger and
 // request-id range are pure functions of (spec.seed, client index), and each
 // region records into its own collector. The merged outcome stream is sorted
 // canonically before any order-sensitive summary (distributions accumulate
-// in sorted order), so results are bit-identical across shard counts,
-// thread counts, and against the plain reference.
+// in sorted order), so results are bit-identical across shard counts and
+// thread counts.
 //
-// Sharded runs support SkyWalker only, and no LB fail/recover faults:
-// baselines call replicas in other regions directly, and LB recovery and
-// controller failover touch two regions' LBs. RunFleetExperiment
-// CHECK-fails such specs before building anything.
+// Runs on more than one shard support SkyWalker only, and no LB
+// fail/recover faults: baselines call replicas in other regions directly,
+// and LB recovery and controller failover touch two regions' LBs.
+// RunFleetExperiment CHECK-fails such specs before building anything.
 
 #ifndef SKYWALKER_HARNESS_FLEET_H_
 #define SKYWALKER_HARNESS_FLEET_H_
@@ -84,7 +84,7 @@ struct FleetSpec {
   std::vector<int> replicas_per_region;
   int clients_per_region = 0;
 
-  // Baselines run in plain mode only (num_shards == 0).
+  // Baselines run on one shard only.
   SystemKind system = SystemKind::kSkyWalker;
 
   ReplicaConfig replica_config;
@@ -111,10 +111,10 @@ struct FleetSpec {
   // waves. Conversation groups fork `conversation`'s generator.
   std::vector<ClientGroup> groups;
 
-  // 0: plain single-threaded Simulator (the reference). >= 1: sharded
-  // simulation with that many region shards (clamped to the region count)
-  // and `num_threads` workers (0 = one per shard).
-  int num_shards = 0;
+  // Region shards (clamped to the region count; values <= 1 mean one
+  // shard) and `num_threads` workers (0 = one per shard). More than one
+  // shard requires SkyWalker without LB faults.
+  int num_shards = 1;
   int num_threads = 1;
 
   // Serializes every outcome into FleetResult::trace (one line per request,
@@ -122,7 +122,7 @@ struct FleetSpec {
   bool collect_trace = false;
 
   // Optional request-lifecycle tracer (ISSUE 9), installed on every shard
-  // (or the plain simulator) before any actor is built. Caller-owned; must
+  // before any actor is built. Caller-owned; must
   // outlive the run. Tracing never perturbs the simulation, and per-region
   // record streams are identical across shard/thread counts.
   Tracer* tracer = nullptr;
@@ -173,10 +173,10 @@ struct FleetResult {
 
   // Wall-clock telemetry (nondeterministic; BENCH_TIMING.json only).
   double run_wall_seconds = 0;
-  std::vector<ShardedSimulator::ShardTiming> shard_timing;  // Sharded only.
+  std::vector<ShardedSimulator::ShardTiming> shard_timing;
   uint64_t windows = 0;
   SimDuration lookahead = 0;
-  int num_shards = 0;   // 0 for the plain reference.
+  int num_shards = 0;
   int num_threads = 0;
 };
 

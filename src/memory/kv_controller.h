@@ -202,7 +202,6 @@ class KvController {
 
   const KvConfig& config() const { return config_; }
   const KvCounters& counters() const { return counters_; }
-  const BlockAllocatorStats& allocator_stats() const { return alloc_.stats(); }
   int64_t live_seqs() const { return live_seqs_; }
   // Page references held by live sequence tables (conservation checks).
   int64_t seq_block_refs() const;

@@ -22,8 +22,7 @@ void Network::Send(RegionId from, RegionId to, EventFn deliver) {
 void Network::SendBatch(RegionId from, RegionId to, int count,
                         EventFn deliver) {
   SKYWALKER_CHECK(count >= 1);
-  ShardCounters& counters =
-      counters_[sharded_ ? static_cast<size_t>(sharded_->ShardOf(from)) : 0];
+  ShardCounters& counters = counters_[static_cast<size_t>(ShardOf(from))];
   counters.messages_sent += static_cast<uint64_t>(count);
   if (from != to) {
     counters.cross_region += static_cast<uint64_t>(count);
@@ -34,15 +33,11 @@ void Network::SendBatch(RegionId from, RegionId to, int count,
 void Network::Deliver(RegionId from, RegionId to, SimDuration delay,
                       EventFn fn) {
   delay = std::max<SimDuration>(delay, 0);
-  if (sharded_ == nullptr) {
-    sim_->ScheduleAfter(delay, std::move(fn));
-    return;
-  }
-  const int from_shard = sharded_->ShardOf(from);
-  Simulator* sender = sharded_->shard(from_shard);
+  Simulator* sender = SimForRegion(from);
   const SimTime at = sender->now() + delay;
   const uint64_t key = sender->NextOrderKey(from);
-  if (sharded_->ShardOf(to) == from_shard) {
+  const int from_shard = ShardOf(from);
+  if (ShardOf(to) == from_shard) {
     sender->ScheduleKeyedAt(at, key, to, std::move(fn));
   } else {
     SKYWALKER_CHECK(delay >= topology_.Latency(from, to))

@@ -8,14 +8,14 @@
 // whose captures fit inline reaches the event queue without any heap
 // allocation.
 //
-// Sharded mode (ISSUE 6): constructed over a ShardedSimulator, the network
-// becomes the sole cross-region channel. A send executes on the sender
-// region's shard; same-shard deliveries go straight into that shard's keyed
-// queue, cross-shard deliveries into the (src, dst) mailbox drained at the
-// next window barrier. Delivery keys are allocated from the *sender* region's
-// sequence, so the destination's execution order is independent of shard and
-// thread count. In plain (single-Simulator) mode behavior is byte-identical
-// to the pre-sharding network.
+// Every delivery is keyed from the *sender* region's sequence (see
+// Simulator), so the destination's execution order is independent of how
+// regions are grouped into simulators. Constructed over a ShardedSimulator
+// (ISSUE 6), the network is the sole cross-region channel: a send executes
+// on the sender region's shard; same-shard deliveries go straight into that
+// shard's queue, cross-shard deliveries into the (src, dst) mailbox drained
+// at the next window barrier. Constructed over one Simulator, every region
+// is on that simulator, the one-shard case.
 
 #ifndef SKYWALKER_NET_NETWORK_H_
 #define SKYWALKER_NET_NETWORK_H_
@@ -51,10 +51,9 @@ class Network {
 
   // Delivers `fn` in region `to` after an explicit `delay`, charged to no
   // message counter: the response leg of an exchange whose latency the
-  // caller already computed (e.g. streaming token callbacks). In plain mode
-  // this is exactly sim()->ScheduleAfter(delay, fn). In sharded mode
-  // cross-shard delays must be >= Latency(from, to) or the lookahead
-  // contract is violated (CHECKed at the window barrier).
+  // caller already computed (e.g. streaming token callbacks). Cross-shard
+  // delays must be >= Latency(from, to) or the lookahead contract is
+  // violated (CHECKed here and at the window barrier).
   void Deliver(RegionId from, RegionId to, SimDuration delay, EventFn fn);
 
   // One-way latency.
@@ -62,15 +61,13 @@ class Network {
     return topology_.Latency(from, to);
   }
 
-  // The shard-local simulator owning `region` (plain mode: the one
+  // The shard-local simulator owning `region` (over one Simulator: that
   // simulator). Actor construction and "what time is it here?" reads must
   // use this, never another region's clock.
   Simulator* SimForRegion(RegionId region) const {
     return sharded_ ? sharded_->SimForRegion(region) : sim_;
   }
 
-  Simulator* sim() const { return sim_; }
-  ShardedSimulator* sharded() const { return sharded_; }
   const Topology& topology() const { return topology_; }
 
   // Total messages sent (probing-overhead accounting in benches). Counters
@@ -89,7 +86,12 @@ class Network {
     uint64_t cross_region = 0;
   };
 
-  Simulator* sim_ = nullptr;          // Plain mode only.
+  // Shard of `region`; 0 over one Simulator.
+  int ShardOf(RegionId region) const {
+    return sharded_ ? sharded_->ShardOf(region) : 0;
+  }
+
+  Simulator* sim_ = nullptr;  // Set iff constructed over one Simulator.
   ShardedSimulator* sharded_ = nullptr;
   Topology topology_;
   std::vector<ShardCounters> counters_;

@@ -172,7 +172,6 @@ void DispatchEngine::TouchReplica(size_t pos) {
   avail_bit_[pos] = avail ? 1 : 0;
   ejected_bit_[pos] = ejected ? 1 : 0;
   ++stamp_[pos];
-  ++index_touches_;
   if (avail) {
     heap_.push_back({EffectiveLoadOf(state), static_cast<uint32_t>(pos),
                      stamp_[pos]});
@@ -204,7 +203,6 @@ void DispatchEngine::RebuildSelectionIndex() {
     }
   }
   std::make_heap(heap_.begin(), heap_.end(), EntryGreater);
-  ++index_touches_;
 }
 
 void DispatchEngine::NoteReplicaMutated(ReplicaId id) {
@@ -225,7 +223,6 @@ void DispatchEngine::CompactSelectionHeap() const {
 }
 
 ReplicaId DispatchEngine::LeastLoadedAvailable() const {
-  ++selection_queries_;
   ReplicaId best = kInvalidReplica;
   while (!heap_.empty()) {
     const HeapEntry& top = heap_.front();
@@ -437,8 +434,7 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
   if (!guarded) {
     // The handlers below run on the *replica's* shard (the replica invokes
     // them), so times come from the replica-side clock and client callbacks
-    // travel back through the network; in plain mode both reduce to the seed
-    // behavior (one simulator, Deliver == ScheduleAfter).
+    // travel back through the network.
     handlers.on_first_token = [this, ctx, response_latency, replica_sim,
                                replica_region, client_region](
                                   const Request& /*req*/, int64_t cached) {

@@ -309,20 +309,12 @@ class DispatchEngine {
   // knows exactly which replica changed (tests, microbenchmarks).
   void NoteReplicaMutated(ReplicaId id);
 
-  // Per-engine selection counters for the timing sidecar (never part of
-  // deterministic results): indexed queries answered and index entries
-  // (re)built — the denominators of the O(log R)-vs-O(R) claim.
-  int64_t selection_queries() const { return selection_queries_; }
-  int64_t index_touches() const { return index_touches_; }
-
   // Current LB-tracked outstanding per replica (imbalance metrics).
   std::vector<int> OutstandingSnapshot() const;
 
   size_t queue_size() const { return queue_.size(); }
   const Stats& stats() const { return stats_; }
   const DispatchConfig& config() const { return config_; }
-  Simulator* sim() const { return sim_; }
-  Network* net() const { return net_; }
   RegionId region() const { return region_; }
 
  private:
@@ -411,8 +403,6 @@ class DispatchEngine {
   std::vector<uint8_t> ejected_bit_;
   int available_count_ = 0;
   int ejected_count_ = 0;
-  mutable int64_t selection_queries_ = 0;
-  int64_t index_touches_ = 0;
 };
 
 }  // namespace skywalker

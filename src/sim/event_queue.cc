@@ -54,16 +54,8 @@ void EventQueue::PopHeapTop() {
   }
 }
 
-EventId EventQueue::Push(SimTime at, EventFn fn) {
-  uint32_t slot = slots_.Acquire();
-  slots_[slot] = Payload{std::move(fn), kInvalidEventRegion};
-  heap_.push_back(Entry{at, next_seq_++, slot, slots_.gen(slot)});
-  SiftUp(heap_.size() - 1);
-  return slots_.MakeHandle(slot);
-}
-
-EventId EventQueue::PushKeyed(SimTime at, uint64_t key, EventRegion target,
-                              EventFn fn) {
+EventId EventQueue::Push(SimTime at, uint64_t key, EventRegion target,
+                         EventFn fn) {
   uint32_t slot = slots_.Acquire();
   slots_[slot] = Payload{std::move(fn), target};
   heap_.push_back(Entry{at, key, slot, slots_.gen(slot)});

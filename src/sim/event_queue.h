@@ -1,10 +1,11 @@
 // Priority event queue for the discrete-event simulator.
 //
-// Events with equal timestamps execute in scheduling (FIFO) order, which
-// makes runs deterministic.
+// Events are totally ordered by (time, key), where the caller-supplied key
+// (see MakeOrderKey) orders equal-time events by origin region and then by
+// per-origin scheduling order, which makes runs deterministic.
 //
 // Layout (ISSUE 3): the binary heap holds 24-byte POD entries
-// {time, seq, slot, generation} — sift operations are memcpy-speed — while
+// {time, key, slot, generation} — sift operations are memcpy-speed — while
 // the callback lives in a slot slab addressed by index. Cancellation is
 // zero-tombstone: Cancel bumps the slot's generation and recycles it, and
 // Pop/PeekTime discard heap entries whose generation no longer matches (the
@@ -39,7 +40,7 @@ inline constexpr EventRegion kInvalidEventRegion = -1;
 // oversized functors transparently fall back to one allocation.
 using EventFn = InlineFunction;
 
-// Deterministic cross-shard ordering key (ISSUE 6): packs (origin region,
+// Deterministic ordering key (ISSUE 6): packs (origin region,
 // per-origin sequence) so that plain uint64 comparison orders equal-time
 // events by origin region first, then by per-origin scheduling order. The
 // key is a pure function of the origin region's own execution history, so
@@ -52,16 +53,11 @@ inline constexpr uint64_t MakeOrderKey(EventRegion origin, uint64_t seq) {
 
 class EventQueue {
  public:
-  // Enqueues `fn` to run at absolute time `at`. Returns a handle usable with
-  // Cancel(). Tie-break at equal times: scheduling (FIFO) order.
-  EventId Push(SimTime at, EventFn fn);
-
-  // Keyed enqueue: the caller supplies the 64-bit tie-break key (see
-  // MakeOrderKey) and the region the event targets, which Pop() surfaces so
-  // a sharded executor can scope the handler to its region. Keys must be
-  // unique; plain and keyed pushes must not be mixed in one queue (the two
-  // key spaces would interleave arbitrarily at equal timestamps).
-  EventId PushKeyed(SimTime at, uint64_t key, EventRegion target, EventFn fn);
+  // Enqueues `fn` to run at absolute time `at`. The caller supplies the
+  // 64-bit tie-break key (see MakeOrderKey; keys must be unique) and the
+  // region the event targets, which Pop() surfaces so the simulator can
+  // scope the handler to its region. Returns a handle usable with Cancel().
+  EventId Push(SimTime at, uint64_t key, EventRegion target, EventFn fn);
 
   // Cancels a pending event. Returns false if the event already ran, was
   // already cancelled, or never existed.
@@ -80,7 +76,7 @@ class EventQueue {
   }
 
   // Pops the earliest live event. Requires !empty(). `target` is the region
-  // given to PushKeyed, or kInvalidEventRegion for plain pushes.
+  // given to Push.
   struct Event {
     SimTime at;
     EventId id;
@@ -90,7 +86,7 @@ class EventQueue {
   Event Pop();
 
  private:
-  // Slot payload: the callback plus the target region for keyed events.
+  // Slot payload: the callback plus the event's target region.
   struct Payload {
     EventFn fn;
     EventRegion target = kInvalidEventRegion;
@@ -100,7 +96,7 @@ class EventQueue {
   // both the outstanding EventId and any stale heap entry in one store).
   struct Entry {
     SimTime at;
-    uint64_t seq;  // Tie-break: earlier scheduling first.
+    uint64_t key;  // Tie-break at equal times (MakeOrderKey).
     uint32_t slot;
     uint32_t gen;
   };
@@ -109,11 +105,12 @@ class EventQueue {
     return slots_.gen(entry.slot) == entry.gen;
   }
 
-  // 4-ary min-heap on (at, seq): half the sift depth of a binary heap, and
-  // the four children of a node share two cache lines. (at, seq) is a strict
-  // total order — seq is unique — so pop order is independent of heap arity.
+  // 4-ary min-heap on (at, key): half the sift depth of a binary heap, and
+  // the four children of a node share two cache lines. (at, key) is a strict
+  // total order — keys are unique — so pop order is independent of heap
+  // arity.
   static bool Before(const Entry& a, const Entry& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+    return a.at != b.at ? a.at < b.at : a.key < b.key;
   }
   void SiftUp(size_t i);
   void SiftDown(size_t i);
@@ -131,7 +128,6 @@ class EventQueue {
 
   std::vector<Entry> heap_;
   GenSlotPool<Payload> slots_;
-  uint64_t next_seq_ = 1;
 };
 
 }  // namespace skywalker

@@ -34,7 +34,8 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
   }
   for (int s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Simulator>());
-    shards_.back()->EnableKeyedOrdering(topology_.num_regions());
+    // Unscoped: setup code must name the region it schedules for.
+    shards_.back()->SetCurrentRegion(kInvalidEventRegion);
   }
   mailboxes_.resize(static_cast<size_t>(num_shards) *
                     static_cast<size_t>(num_shards));

@@ -30,7 +30,8 @@
 // shard) is fixed for reproducible queue internals, though any drain order
 // yields the same execution: the heap orders by the carried key.
 //
-// Restrictions in sharded mode (single-shard/plain mode is unaffected):
+// Restrictions with more than one shard (a single shard runs every region
+// on one thread and is unaffected):
 //  * cross-region interaction must flow through Network::Send /
 //    Network::Deliver (direct cross-region method calls would race), which
 //    rules out the central baseline LBs and the gateway;
@@ -38,6 +39,9 @@
 //    supported — those paths mutate remote-region state directly.
 // RunFleetExperiment (src/harness/fleet.h) CHECK-fails specs that break
 // either rule.
+//
+// Shards start unscoped: setup code must SetCurrentRegion before it
+// schedules, or Simulator::ScheduleAt CHECK-fails.
 
 #ifndef SKYWALKER_SIM_SHARDED_SIMULATOR_H_
 #define SKYWALKER_SIM_SHARDED_SIMULATOR_H_

@@ -8,46 +8,35 @@
 namespace skywalker {
 
 EventId Simulator::ScheduleAt(SimTime at, EventFn fn) {
-  if (keyed_) {
-    // Self-scheduling: the event both originates from and targets the
-    // region whose code is running (handlers re-arming themselves, think
-    // timers, probe loops). Cross-region scheduling goes through
-    // Network::Send / Network::Deliver.
-    SKYWALKER_CHECK(current_region_ != kInvalidEventRegion)
-        << "keyed scheduling outside any region scope";
-    return events_.PushKeyed(std::max(at, now_),
-                             NextOrderKey(current_region_), current_region_,
-                             std::move(fn));
-  }
-  return events_.Push(std::max(at, now_), std::move(fn));
+  // Self-scheduling: the event both originates from and targets the region
+  // whose code is running (handlers re-arming themselves, think timers,
+  // probe loops). Cross-region scheduling goes through Network::Send /
+  // Network::Deliver.
+  SKYWALKER_CHECK(current_region_ != kInvalidEventRegion)
+      << "scheduling outside any region scope";
+  return events_.Push(std::max(at, now_), NextOrderKey(current_region_),
+                      current_region_, std::move(fn));
 }
 
 EventId Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
   return ScheduleAt(now_ + std::max<SimDuration>(delay, 0), std::move(fn));
 }
 
-void Simulator::EnableKeyedOrdering(size_t num_regions) {
-  SKYWALKER_CHECK(events_.empty() && executed_ == 0)
-      << "keyed ordering must be enabled before any scheduling";
-  keyed_ = true;
-  origin_seq_.assign(num_regions, 0);
-}
-
 uint64_t Simulator::NextOrderKey(EventRegion origin) {
-  SKYWALKER_CHECK(keyed_);
-  SKYWALKER_CHECK(origin >= 0 &&
-                  static_cast<size_t>(origin) < origin_seq_.size())
-      << "origin region out of range";
-  return MakeOrderKey(origin, ++origin_seq_[static_cast<size_t>(origin)]);
+  SKYWALKER_CHECK(origin >= 0) << "origin region out of range";
+  const size_t index = static_cast<size_t>(origin);
+  if (index >= origin_seq_.size()) {
+    origin_seq_.resize(index + 1, 0);
+  }
+  return MakeOrderKey(origin, ++origin_seq_[index]);
 }
 
 EventId Simulator::ScheduleKeyedAt(SimTime at, uint64_t key,
                                    EventRegion target, EventFn fn) {
-  SKYWALKER_CHECK(keyed_);
-  // Conservative lookahead: injected events must not land in this shard's
-  // executed past, or the (time, key) order would be violated.
+  // Conservative lookahead: injected events must not land in this
+  // simulator's executed past, or the (time, key) order would be violated.
   SKYWALKER_CHECK(at >= now_) << "keyed event scheduled in the past";
-  return events_.PushKeyed(at, key, target, std::move(fn));
+  return events_.Push(at, key, target, std::move(fn));
 }
 
 size_t Simulator::Run() {
@@ -85,9 +74,7 @@ bool Simulator::Step() {
   }
   EventQueue::Event event = events_.Pop();
   now_ = std::max(now_, event.at);
-  if (event.target != kInvalidEventRegion) {
-    current_region_ = event.target;
-  }
+  current_region_ = event.target;
   ++executed_;
   event.fn();
   return true;

@@ -1,15 +1,16 @@
 // Single-threaded discrete-event simulator. All actors (clients, load
-// balancers, replicas, the controller) share one Simulator instance; the
-// simulated clock only advances between events, so event handlers observe a
-// consistent "now".
+// balancers, replicas, the controller) of the regions it owns share one
+// Simulator instance; the simulated clock only advances between events, so
+// event handlers observe a consistent "now".
 //
-// Sharded mode (ISSUE 6): a ShardedSimulator owns one Simulator per region
-// group and advances them in conservative-lookahead windows. Each shard then
-// runs with *keyed ordering* enabled: events are totally ordered by
-// (time, origin region, per-origin sequence) instead of (time, global FIFO
-// sequence). That order is a pure function of each region's own execution
-// history, so results are bit-identical for any grouping of regions into
-// shards and any thread count. See DESIGN.md §7.2.
+// Event order: events are totally ordered by (time, origin region,
+// per-origin sequence), where the origin is the region whose code scheduled
+// the event. That order is a pure function of each region's own execution
+// history, so a ShardedSimulator (ISSUE 6), which owns one Simulator per
+// region group and advances them in conservative-lookahead windows, gives
+// bit-identical results for any grouping of regions into shards and any
+// thread count. A standalone Simulator is the one-shard case. See
+// DESIGN.md §7.2.
 
 #ifndef SKYWALKER_SIM_SIMULATOR_H_
 #define SKYWALKER_SIM_SIMULATOR_H_
@@ -34,8 +35,9 @@ class Simulator {
 
   // Schedules `fn` at absolute simulated time `at` (clamped to now).
   // EventFn stores small lambdas inline — scheduling does not allocate.
-  // With keyed ordering enabled, the event is keyed to the current region
-  // (it targets the region whose handler — or Start() scope — is running).
+  // The event is keyed to, and targets, the current region (the region
+  // whose handler — or Start() scope — is running); CHECK-fails outside any
+  // region scope.
   EventId ScheduleAt(SimTime at, EventFn fn);
 
   // Schedules `fn` after `delay` (clamped to zero).
@@ -47,8 +49,8 @@ class Simulator {
   // Runs until the event queue drains. Returns events executed.
   size_t Run();
 
-  // Runs events with timestamp <= `deadline`; the clock ends at
-  // min(deadline, time of last event) or `deadline` if events remain.
+  // Runs events with timestamp <= `deadline`, then advances the clock to
+  // `deadline` (it never moves backwards).
   size_t RunUntil(SimTime deadline);
 
   // RunUntil(now + d).
@@ -58,7 +60,6 @@ class Simulator {
   bool Step();
 
   bool HasPendingEvents() const { return !events_.empty(); }
-  size_t pending_events() const { return events_.size(); }
   size_t executed_events() const { return executed_; }
 
   // Timestamp of the earliest pending event, kSimTimeMax when idle. The
@@ -68,28 +69,23 @@ class Simulator {
     return events_.empty() ? kSimTimeMax : events_.PeekTime();
   }
 
-  // --- keyed (region-deterministic) ordering: sharded-simulator mode ---
-
-  // Switches this shard to the (time, origin region, per-origin sequence)
-  // total order. Must be called before anything is scheduled. Region ids
-  // are global (topology) ids; only regions owned by this shard allocate
-  // keys here.
-  void EnableKeyedOrdering(size_t num_regions);
-  bool keyed_ordering() const { return keyed_; }
+  // --- region-keyed ordering ---
 
   // The region whose code is currently executing. Step() sets it from the
   // popped event; actor Start() methods set it while scheduling from setup
-  // code (no-op information in plain mode).
+  // code. A standalone Simulator starts scoped to region 0, so
+  // single-region code needs no setup; ShardedSimulator shards start
+  // unscoped (kInvalidEventRegion).
   void SetCurrentRegion(EventRegion region) { current_region_ = region; }
   EventRegion current_region() const { return current_region_; }
 
-  // Allocates the next ordering key for events originated by `origin`.
-  // Requires keyed ordering; `origin` must be owned by this shard.
+  // Allocates the next ordering key for events originated by `origin`, a
+  // global (topology) region id owned by this simulator.
   uint64_t NextOrderKey(EventRegion origin);
 
   // Schedules with an explicit key and target region — the injection path
   // for network sends and cross-shard mailbox drains. `at` must not lie in
-  // this shard's past (the conservative-lookahead guarantee).
+  // this simulator's past (the conservative-lookahead guarantee).
   EventId ScheduleKeyedAt(SimTime at, uint64_t key, EventRegion target,
                           EventFn fn);
 
@@ -119,10 +115,9 @@ class Simulator {
   size_t executed_ = 0;
   Tracer* tracer_ = nullptr;
 
-  bool keyed_ = false;
-  EventRegion current_region_ = kInvalidEventRegion;
-  // Per-origin-region sequence counters (keyed mode). Indexed by global
-  // region id; only this shard's regions advance.
+  EventRegion current_region_ = 0;
+  // Per-origin-region sequence counters, indexed by global region id and
+  // grown on first use; only regions owned by this simulator advance.
   std::vector<uint64_t> origin_seq_;
 };
 

@@ -43,8 +43,7 @@ ConversationClient::ConversationClient(
 }
 
 void ConversationClient::Start(SimDuration initial_delay) {
-  // Keyed-ordering scope (no-op in plain mode): the kickoff event belongs
-  // to this client's region.
+  // Region scope: the kickoff event belongs to this client's region.
   sim_->SetCurrentRegion(region_);
   sim_->ScheduleAfter(initial_delay, [this] { BeginConversation(); });
 }

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/inline_function.h"
@@ -28,12 +30,18 @@ constexpr size_t kBacklog = 1'000'000;
 // sifts exercise real depths.
 SimTime PseudoTime(uint64_t i) { return static_cast<SimTime>(i * 2654435761u % 100000000u); }
 
+// Pushes with the next region-0 key, as a standalone Simulator would.
+EventId Push(EventQueue& q, SimTime at, EventFn fn) {
+  static uint64_t seq = 0;
+  return q.Push(at, MakeOrderKey(0, ++seq), 0, std::move(fn));
+}
+
 TEST(EventQueueAllocTest, MillionEventSteadyStateDoesNotAllocate) {
   EventQueue q;
   // Warm-up: grow slots and heap capacity to the high-water mark, then
   // drain so every later phase operates strictly below it.
   for (size_t i = 0; i < kBacklog; ++i) {
-    q.Push(PseudoTime(i), [] {});
+    Push(q, PseudoTime(i), [] {});
   }
   ASSERT_EQ(q.size(), kBacklog);
   while (!q.empty()) {
@@ -44,7 +52,7 @@ TEST(EventQueueAllocTest, MillionEventSteadyStateDoesNotAllocate) {
   // and the heap vector reuses its capacity: zero allocations.
   long long baseline = NewCount();
   for (size_t i = 0; i < kBacklog; ++i) {
-    q.Push(PseudoTime(i * 31 + 7), [] {});
+    Push(q, PseudoTime(i * 31 + 7), [] {});
   }
   EXPECT_EQ(NewCount() - baseline, 0)
       << "Push against warm capacity must not allocate";
@@ -56,7 +64,7 @@ TEST(EventQueueAllocTest, MillionEventSteadyStateDoesNotAllocate) {
   for (size_t i = 0; i < 200'000; ++i) {
     EventQueue::Event event = q.Pop();
     now = event.at;
-    q.Push(now + static_cast<SimTime>(i % 1024) + 1, [] {});
+    Push(q, now + static_cast<SimTime>(i % 1024) + 1, [] {});
   }
   EXPECT_EQ(NewCount() - baseline, 0)
       << "steady-state pop+push must not allocate";
@@ -75,7 +83,7 @@ TEST(EventQueueAllocTest, MillionEventSteadyStateDoesNotAllocate) {
     if (ring[at] != kInvalidEventId) {
       q.Cancel(ring[at]);  // Often already popped; stale cancel is fine.
     }
-    ring[at] = q.Push(now + static_cast<SimTime>(at) + 1, [] {});
+    ring[at] = Push(q, now + static_cast<SimTime>(at) + 1, [] {});
     now = q.Pop().at;
   }
   EXPECT_EQ(NewCount() - baseline, 0)
@@ -89,11 +97,11 @@ TEST(EventQueueAllocTest, InlineCallablesStayInline) {
   long long* sink_ptr = &sink;
   int a = 1, b = 2, c = 3, d = 4;
   EventQueue q;
-  q.Push(1, [] {});  // Warm slot + heap capacity.
+  Push(q, 1, [] {});  // Warm slot + heap capacity.
   q.Pop();
 
   long long baseline = NewCount();
-  q.Push(2, [sink_ptr, a, b, c, d] { *sink_ptr = a + b + c + d; });
+  Push(q, 2, [sink_ptr, a, b, c, d] { *sink_ptr = a + b + c + d; });
   EXPECT_EQ(NewCount() - baseline, 0);
   q.Pop().fn();
   EXPECT_EQ(sink, 10);
@@ -104,7 +112,7 @@ TEST(EventQueueAllocTest, InlineCallablesStayInline) {
   };
   Big big;
   baseline = NewCount();
-  q.Push(3, [big, sink_ptr] { *sink_ptr = big.bytes[0] + 1; });
+  Push(q, 3, [big, sink_ptr] { *sink_ptr = big.bytes[0] + 1; });
   EXPECT_EQ(NewCount() - baseline, 1);  // Exactly one spill allocation.
   q.Pop().fn();
   EXPECT_EQ(sink, 1);
@@ -127,24 +135,6 @@ TEST(EventQueueAllocTest, PeriodicTaskSteadyStateTicksDoNotAllocate) {
       << "steady-state periodic ticks must not allocate";
   task.Stop();
   EXPECT_GE(ticks, 990);
-
-  // Same contract on a keyed (sharded-mode) simulator: the per-origin key
-  // path adds ordering metadata, not allocations.
-  Simulator keyed;
-  keyed.EnableKeyedOrdering(1);
-  keyed.SetCurrentRegion(0);
-  long long keyed_ticks = 0;
-  long long* keyed_ptr = &keyed_ticks;
-  PeriodicTask keyed_task(&keyed, Milliseconds(10),
-                          [keyed_ptr] { ++*keyed_ptr; });
-  keyed_task.Start();
-  keyed.RunUntil(Milliseconds(100));
-  baseline = NewCount();
-  keyed.RunUntil(Seconds(10));
-  EXPECT_EQ(NewCount() - baseline, 0)
-      << "keyed-mode periodic ticks must not allocate";
-  keyed_task.Stop();
-  EXPECT_GE(keyed_ticks, 990);
 }
 
 TEST(EventQueueAllocTest, HeapSiftingNeverTouchesCallbacks) {
@@ -164,7 +154,7 @@ TEST(EventQueueAllocTest, HeapSiftingNeverTouchesCallbacks) {
   EventQueue q;
   constexpr int kEvents = 100'000;  // log2 ≈ 17: sifting would dominate.
   for (int i = 0; i < kEvents; ++i) {
-    q.Push(PseudoTime(static_cast<uint64_t>(i)), CountsMoves());
+    Push(q, PseudoTime(static_cast<uint64_t>(i)), CountsMoves());
   }
   moves = 0;
   int popped = 0;

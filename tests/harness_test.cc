@@ -200,9 +200,36 @@ TEST(FleetHarnessTest, RegionalSystemsQueueInEveryRegion) {
   EXPECT_EQ(LbRegions(kAllSystems[6]), (std::set<int>{0, 1, 2}));
 }
 
-// Sharded runs must be rejected before anything is built when they would
-// race: LB recovery and failover touch two regions' LBs, and baselines call
-// replicas in other regions directly.
+// One shard runs every region on one thread, so the central baselines'
+// direct cross-region calls and LB fail/recover faults are safe there. Any
+// num_shards <= 1 means that one shard.
+TEST(FleetHarnessTest, OneShardRunsBaselinesAndLbFaults) {
+  FleetSpec baseline = TinyFleet(kAllSystems[1], 1);  // Central RR.
+  baseline.num_shards = 1;
+  const FleetResult rr = RunFleetExperiment(baseline);
+  EXPECT_EQ(rr.num_shards, 1);
+  EXPECT_GT(rr.metrics.completed, 0u);
+  baseline.num_shards = 0;
+  EXPECT_EQ(RunFleetExperiment(baseline).trace, rr.trace);
+
+  FleetSpec faulted = TinyFleet(kAllSystems[6], 1);  // SkyWalker.
+  faulted.num_shards = 1;
+  FleetFault fail;
+  fail.kind = FleetFault::kLbFail;
+  fail.region = 1;
+  fail.at = Seconds(15);
+  FleetFault recover = fail;
+  recover.kind = FleetFault::kLbRecover;
+  recover.at = Seconds(25);
+  faulted.faults = {fail, recover};
+  const FleetResult lb_faults = RunFleetExperiment(faulted);
+  EXPECT_EQ(lb_faults.num_shards, 1);
+  EXPECT_GT(lb_faults.metrics.completed, 0u);
+}
+
+// Runs on more than one shard must be rejected before anything is built
+// when they would race: LB recovery and failover touch two regions' LBs,
+// and baselines call replicas in other regions directly.
 TEST(FleetHarnessDeathTest, ShardedRunRejectsLbFail) {
   FleetSpec spec = TinyFleet(kAllSystems[6], 1);
   spec.num_shards = 3;
@@ -210,7 +237,8 @@ TEST(FleetHarnessDeathTest, ShardedRunRejectsLbFail) {
   fault.kind = FleetFault::kLbFail;
   fault.at = Seconds(5);
   spec.faults.push_back(fault);
-  EXPECT_DEATH(RunFleetExperiment(spec), "sharded fleets run SkyWalker");
+  EXPECT_DEATH(RunFleetExperiment(spec),
+               "more than one shard requires SkyWalker");
 }
 
 TEST(FleetHarnessDeathTest, ShardedRunRejectsLbRecover) {
@@ -220,7 +248,8 @@ TEST(FleetHarnessDeathTest, ShardedRunRejectsLbRecover) {
   fault.kind = FleetFault::kLbRecover;
   fault.at = Seconds(5);
   spec.faults.push_back(fault);
-  EXPECT_DEATH(RunFleetExperiment(spec), "sharded fleets run SkyWalker");
+  EXPECT_DEATH(RunFleetExperiment(spec),
+               "more than one shard requires SkyWalker");
 }
 
 TEST(FleetHarnessDeathTest, ShardedRunRejectsBaselineSystems) {
@@ -230,7 +259,8 @@ TEST(FleetHarnessDeathTest, ShardedRunRejectsBaselineSystems) {
     }
     FleetSpec spec = TinyFleet(system, 1);
     spec.num_shards = 2;
-    EXPECT_DEATH(RunFleetExperiment(spec), "sharded fleets run SkyWalker")
+    EXPECT_DEATH(RunFleetExperiment(spec),
+                 "more than one shard requires SkyWalker")
         << system.name;
   }
 }

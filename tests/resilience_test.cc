@@ -58,7 +58,7 @@ void AddBlackout(FleetSpec& spec, SimTime fail_at, SimTime recover_at) {
 
 TEST(ResilienceTest, BlackoutLosesNothingForeverWithTimeoutsOn) {
   FleetSpec spec = SmallFleet();
-  spec.num_shards = 0;  // Controller failover is cross-shard: plain mode.
+  spec.num_shards = 1;  // Controller failover is cross-shard: one shard.
   spec.controller.auto_recovery_delay = 0;
   spec.lb.engine.outlier = Resilience();
   AddBlackout(spec, Seconds(3), Seconds(6));
@@ -77,7 +77,7 @@ TEST(ResilienceTest, BlackoutLosesNothingForeverWithTimeoutsOn) {
 
 TEST(ResilienceTest, BlackoutWithoutResilienceStrandsInFlightRequests) {
   FleetSpec spec = SmallFleet();
-  spec.num_shards = 0;
+  spec.num_shards = 1;
   spec.controller.auto_recovery_delay = 0;
   AddBlackout(spec, Seconds(3), Seconds(6));
 

@@ -1,8 +1,7 @@
 // Region-sharded parallel simulation (ISSUE 6): shard assignment and
 // lookahead derivation, keyed event ordering, cross-shard message delivery,
 // and the headline determinism contract — fleet results bit-identical
-// across shard counts, thread counts, and against the plain single-threaded
-// Simulator reference.
+// across shard counts and thread counts, with one shard as the reference.
 
 #include <cstdint>
 #include <string>
@@ -57,11 +56,11 @@ TEST(EventQueueTest, KeyedPopOrderIsTimeThenKey) {
   std::vector<int> order;
   // Same timestamp, keys from different origins, inserted out of order: pop
   // order must follow (time, key), not insertion.
-  queue.PushKeyed(10, MakeOrderKey(2, 1), 2, [&] { order.push_back(21); });
-  queue.PushKeyed(10, MakeOrderKey(0, 2), 0, [&] { order.push_back(2); });
-  queue.PushKeyed(5, MakeOrderKey(3, 7), 3, [&] { order.push_back(37); });
-  queue.PushKeyed(10, MakeOrderKey(0, 1), 0, [&] { order.push_back(1); });
-  queue.PushKeyed(10, MakeOrderKey(1, 5), 1, [&] { order.push_back(15); });
+  queue.Push(10, MakeOrderKey(2, 1), 2, [&] { order.push_back(21); });
+  queue.Push(10, MakeOrderKey(0, 2), 0, [&] { order.push_back(2); });
+  queue.Push(5, MakeOrderKey(3, 7), 3, [&] { order.push_back(37); });
+  queue.Push(10, MakeOrderKey(0, 1), 0, [&] { order.push_back(1); });
+  queue.Push(10, MakeOrderKey(1, 5), 1, [&] { order.push_back(15); });
   while (!queue.empty()) {
     EventQueue::Event event = queue.Pop();
     event.fn();
@@ -71,7 +70,6 @@ TEST(EventQueueTest, KeyedPopOrderIsTimeThenKey) {
 
 TEST(SimulatorTest, KeyedSchedulingTracksCurrentRegion) {
   Simulator sim;
-  sim.EnableKeyedOrdering(2);
   std::vector<int> order;
   // Region 1 schedules first but region 0's key sorts first at equal time.
   sim.SetCurrentRegion(1);
@@ -84,7 +82,6 @@ TEST(SimulatorTest, KeyedSchedulingTracksCurrentRegion) {
 
 TEST(SimulatorTest, StepRestoresRegionScopeFromEvent) {
   Simulator sim;
-  sim.EnableKeyedOrdering(3);
   EventRegion seen = kInvalidEventRegion;
   sim.SetCurrentRegion(2);
   sim.ScheduleAt(1, [&] {
@@ -97,12 +94,20 @@ TEST(SimulatorTest, StepRestoresRegionScopeFromEvent) {
   EXPECT_EQ(seen, 2);
 }
 
-// Relays a token around all four regions via the network; the arrival log
-// must not depend on sharding or threading.
-std::vector<std::string> RunRelay(int num_shards, int num_threads) {
-  Topology topo = Topology::FourRegions();
-  ShardedSimulator sim(topo, num_shards, num_threads);
-  Network net(&sim);
+TEST(ShardedSimulatorDeathTest, SchedulingOutsideRegionScopeFails) {
+  // Shards start unscoped: setup code that forgets SetCurrentRegion would
+  // otherwise key its events to an arbitrary region.
+  ShardedSimulator sim(Topology::FourRegions(), /*num_shards=*/2,
+                       /*num_threads=*/1);
+  EXPECT_DEATH(sim.shard(0)->ScheduleAt(1, [] {}),
+               "scheduling outside any region scope");
+}
+
+// Relays a token around all four regions via `net`, whose simulator `sim`
+// (one Simulator or a ShardedSimulator) runs it; the arrival log must not
+// depend on how regions are grouped into simulators or on threading.
+template <typename Sim>
+std::vector<std::string> RunRelay(Sim& sim, Network& net) {
   const int kRegions = 4;
   // Per-region logs: only region r's shard appends to logs[r].
   std::vector<std::vector<std::string>> logs(kRegions);
@@ -139,20 +144,29 @@ std::vector<std::string> RunRelay(int num_shards, int num_threads) {
   return flat;
 }
 
+std::vector<std::string> RunShardedRelay(int num_shards, int num_threads) {
+  ShardedSimulator sim(Topology::FourRegions(), num_shards, num_threads);
+  Network net(&sim);
+  return RunRelay(sim, net);
+}
+
 TEST(ShardedSimulatorTest, RelayIdenticalAcrossShardsAndThreads) {
-  const std::vector<std::string> reference = RunRelay(1, 1);
+  Simulator plain;
+  Network plain_net(&plain, Topology::FourRegions());
+  const std::vector<std::string> reference = RunRelay(plain, plain_net);
   ASSERT_FALSE(reference.empty());
-  for (auto [shards, threads] : {std::pair<int, int>{2, 1},
+  for (auto [shards, threads] : {std::pair<int, int>{1, 1},
+                                 {2, 1},
                                  {2, 2},
                                  {4, 1},
                                  {4, 4}}) {
-    EXPECT_EQ(RunRelay(shards, threads), reference)
+    EXPECT_EQ(RunShardedRelay(shards, threads), reference)
         << "shards=" << shards << " threads=" << threads;
   }
 }
 
 TEST(ShardedSimulatorTest, TimingCoversAllShards) {
-  std::vector<std::string> ignored = RunRelay(2, 2);
+  std::vector<std::string> ignored = RunShardedRelay(2, 2);
   ShardedSimulator sim(Topology::FourRegions(), 2, 2);
   Network net(&sim);
   Simulator* sim0 = net.SimForRegion(0);
@@ -212,11 +226,11 @@ FleetSpec MixedTreeFleet() {
 
 // The tentpole determinism contract: the full fleet — LBs, replicas,
 // clients, probes, forwarding — produces bit-identical request traces and
-// summary metrics for every shard/thread combination, including against the
-// plain single-threaded Simulator.
+// summary metrics for every shard/thread combination, against the one-shard
+// reference.
 void ExpectBitIdenticalAcrossShards(const FleetSpec& base) {
   FleetSpec spec = base;
-  spec.num_shards = 0;  // Plain Simulator reference.
+  spec.num_shards = 1;  // One-shard reference.
   FleetResult reference = RunFleetExperiment(spec);
   ASSERT_GT(reference.metrics.completed, 0u);
   ASSERT_FALSE(reference.trace.empty());
@@ -225,8 +239,7 @@ void ExpectBitIdenticalAcrossShards(const FleetSpec& base) {
     int shards;
     int threads;
   };
-  for (Config config : std::vector<Config>{
-           {1, 1}, {2, 1}, {2, 8}, {4, 1}, {4, 8}}) {
+  for (Config config : std::vector<Config>{{2, 1}, {2, 8}, {4, 1}, {4, 8}}) {
     FleetSpec run_spec = base;
     run_spec.num_shards = config.shards;
     run_spec.num_threads = config.threads;

@@ -1,8 +1,9 @@
 // Unit tests for the discrete-event core: event ordering, cancellation,
-// deterministic FIFO tie-breaking, periodic tasks.
+// deterministic key tie-breaking, periodic tasks.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -14,20 +15,21 @@ namespace {
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.Push(30, [&] { order.push_back(3); });
-  q.Push(10, [&] { order.push_back(1); });
-  q.Push(20, [&] { order.push_back(2); });
+  q.Push(30, MakeOrderKey(0, 1), 0, [&] { order.push_back(3); });
+  q.Push(10, MakeOrderKey(0, 2), 0, [&] { order.push_back(1); });
+  q.Push(20, MakeOrderKey(0, 3), 0, [&] { order.push_back(2); });
   while (!q.empty()) {
     q.Pop().fn();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueTest, FifoTieBreakAtSameTime) {
+TEST(EventQueueTest, KeyBreaksTiesAtSameTime) {
   EventQueue q;
   std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.Push(100, [&order, i] { order.push_back(i); });
+  for (int i = 4; i >= 0; --i) {
+    q.Push(100, MakeOrderKey(0, static_cast<uint64_t>(i) + 1), 0,
+           [&order, i] { order.push_back(i); });
   }
   while (!q.empty()) {
     q.Pop().fn();
@@ -38,8 +40,8 @@ TEST(EventQueueTest, FifoTieBreakAtSameTime) {
 TEST(EventQueueTest, CancelPreventsExecution) {
   EventQueue q;
   int fired = 0;
-  EventId id = q.Push(10, [&] { ++fired; });
-  q.Push(20, [&] { ++fired; });
+  EventId id = q.Push(10, MakeOrderKey(0, 1), 0, [&] { ++fired; });
+  q.Push(20, MakeOrderKey(0, 2), 0, [&] { ++fired; });
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_FALSE(q.Cancel(id));  // Double cancel fails.
   EXPECT_EQ(q.size(), 1u);
@@ -52,8 +54,8 @@ TEST(EventQueueTest, CancelPreventsExecution) {
 TEST(EventQueueTest, CancelledHeadSkipped) {
   EventQueue q;
   int fired = 0;
-  EventId first = q.Push(5, [&] { fired = 1; });
-  q.Push(10, [&] { fired = 2; });
+  EventId first = q.Push(5, MakeOrderKey(0, 1), 0, [&] { fired = 1; });
+  q.Push(10, MakeOrderKey(0, 2), 0, [&] { fired = 2; });
   q.Cancel(first);
   EXPECT_EQ(q.PeekTime(), 10);
   q.Pop().fn();
@@ -67,6 +69,19 @@ TEST(SimulatorTest, ClockAdvancesWithEvents) {
   sim.Run();
   EXPECT_EQ(observed, 500);
   EXPECT_EQ(sim.now(), 500);
+}
+
+TEST(SimulatorTest, SameRegionEventsRunInSchedulingOrder) {
+  // A standalone simulator starts scoped to region 0: equal-time events it
+  // schedules run in the order they were scheduled.
+  Simulator sim;
+  EXPECT_EQ(sim.current_region(), 0);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    sim.ScheduleAt(100, [&order, i] { order.push_back(i); });
+  }
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
