@@ -9,11 +9,9 @@
 
 #include <chrono>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/scenarios/scenarios.h"
-#include "src/harness/runner.h"
 #include "src/cache/prefix_cache.h"
 #include "src/memory/block_allocator.h"
 #include "src/memory/block_table.h"
@@ -150,9 +148,8 @@ Scenario MakeMicroMemoryScenario() {
     // few inserts the cache is squeezed. kLruLeaf walks the tree once per
     // leaf victim; kColdSubtree reclaims whole abandoned branches per scan,
     // so its pages-per-eviction-round is the headline (gated by
-    // micro_memory_floors.json via summary.derived below). Wall time,
-    // eviction rounds, and pages-per-round also land in the
-    // BENCH_TIMING.json sidecar for the perf trajectory.
+    // micro_memory_floors.json via summary.derived below). The row also
+    // carries eviction rounds, pages per round, and victims per round.
     for (EvictionPolicy policy :
          {EvictionPolicy::kLruLeaf, EvictionPolicy::kColdSubtree}) {
       const bool cold = policy == EvictionPolicy::kColdSubtree;
@@ -216,17 +213,6 @@ Scenario MakeMicroMemoryScenario() {
             const double victims_per_round =
                 rounds <= 0 ? 0.0
                             : static_cast<double>(ev.victims) / rounds;
-            CellShardTiming timing;
-            timing.scenario = "micro_memory";
-            timing.cell = label;
-            timing.shards = 1;
-            timing.threads = 1;
-            timing.wall_seconds = wall_ns * 1e-9;
-            timing.extra.emplace_back("eviction_rounds", rounds);
-            timing.extra.emplace_back("pages_per_eviction", pages_per_round);
-            timing.extra.emplace_back("victims_per_eviction",
-                                      victims_per_round);
-            ShardTimingRegistry::Instance().Record(std::move(timing));
             double checksum =
                 static_cast<double>(ev.freed_blocks) +
                 static_cast<double>(ev.victims) * 1e-6 +
@@ -234,6 +220,7 @@ Scenario MakeMicroMemoryScenario() {
             MetricRow row = MicroRow(label, wall_ns, iterations, checksum);
             row.Set("evictions", rounds);
             row.Set("pages_per_eviction", pages_per_round);
+            row.Set("victims_per_eviction", victims_per_round);
             return std::vector<MetricRow>{row};
           }});
     }

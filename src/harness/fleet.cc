@@ -445,7 +445,6 @@ FleetResult RunFleetExperiment(const FleetSpec& spec) {
   result.run_wall_seconds = wall_seconds;
   result.shard_timing = sim.Timing();
   result.windows = sim.windows();
-  result.lookahead = sim.lookahead();
   result.num_shards = sim.num_shards();
   result.num_threads = sim.num_threads();
   return result;

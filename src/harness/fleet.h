@@ -175,7 +175,6 @@ struct FleetResult {
   double run_wall_seconds = 0;
   std::vector<ShardedSimulator::ShardTiming> shard_timing;
   uint64_t windows = 0;
-  SimDuration lookahead = 0;
   int num_shards = 0;
   int num_threads = 0;
 };

@@ -204,9 +204,6 @@ Json TimingJson(const std::vector<ScenarioRunResult>& results,
         per_shard.Append(std::move(sj));
       }
       cj.Set("per_shard", std::move(per_shard));
-      for (const auto& [key, value] : cell.extra) {
-        cj.Set(key, value);
-      }
       cells.Append(std::move(cj));
     }
     doc.Set("cells", std::move(cells));

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
@@ -64,10 +63,6 @@ struct CellShardTiming {
   uint64_t windows = 0;      // Lookahead windows executed.
   // Per shard: time executing events vs. waiting at window barriers.
   std::vector<ShardedSimulator::ShardTiming> per_shard;
-  // Scenario-specific counters serialized onto the cell object verbatim
-  // (e.g. the eviction-churn micro's "evictions" / "pages_per_eviction",
-  // ISSUE 8). Keys must not collide with the fixed fields above.
-  std::vector<std::pair<std::string, double>> extra;
 };
 
 // Process-wide sink for CellShardTiming records. Thread-safe: cells run

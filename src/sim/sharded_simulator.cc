@@ -46,13 +46,10 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
   active_.assign(static_cast<size_t>(num_shards), 0);
 
   // Per-pair lookahead: for each ordered shard pair (src, dst), the min
-  // src->dst one-way latency over region pairs straddling them. The global
-  // lookahead_ is their minimum (the single global bound) and stays
-  // kSimTimeMax with a single shard.
+  // src->dst one-way latency over region pairs straddling them.
   pair_lookahead_.assign(static_cast<size_t>(num_shards) *
                              static_cast<size_t>(num_shards),
                          kSimTimeMax);
-  lookahead_ = kSimTimeMax;
   const RegionId n = static_cast<RegionId>(topology_.num_regions());
   for (RegionId a = 0; a < n; ++a) {
     for (RegionId b = 0; b < n; ++b) {
@@ -66,7 +63,6 @@ ShardedSimulator::ShardedSimulator(const Topology& topology, int num_shards,
       slot = std::min(slot, topology_.Latency(a, b));
       SKYWALKER_CHECK(slot >= 1)
           << "cross-shard latency too small for a lookahead window";
-      lookahead_ = std::min(lookahead_, slot);
     }
   }
 }
@@ -119,15 +115,6 @@ void ShardedSimulator::DrainMailboxes() {
 
 size_t ShardedSimulator::RunUntil(SimTime deadline) {
   const size_t before = executed_events();
-  if (num_shards() == 1) {
-    const auto t0 = std::chrono::steady_clock::now();
-    shards_[0]->RunUntil(deadline);
-    busy_seconds_[0] += SecondsSince(t0);
-    parallel_seconds_ += SecondsSince(t0);
-    ++windows_;
-    frontier_[0] = deadline + 1;
-    return executed_events() - before;
-  }
   RunRounds(deadline);
   for (auto& sim : shards_) {
     sim->AdvanceTo(deadline);
@@ -180,18 +167,10 @@ void ShardedSimulator::RunRounds(SimTime deadline) {
 
     const auto w0 = std::chrono::steady_clock::now();
     if (active == 1 || num_threads_ <= 1) {
-      // A lone busy shard (or serial mode) runs inline: no handshake, no
-      // wakeup. The pool — if spawned — is parked on start_cv_, so the
-      // main thread may touch shard state freely.
-      for (int s = 0; s < S; ++s) {
-        if (!active_[static_cast<size_t>(s)]) {
-          continue;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        shards_[static_cast<size_t>(s)]->RunBefore(
-            target_[static_cast<size_t>(s)]);
-        busy_seconds_[static_cast<size_t>(s)] += SecondsSince(t0);
-      }
+      // A lone busy shard (or serial mode) runs on the coordinator alone:
+      // no handshake, no wakeup. The pool — if spawned — is parked on
+      // start_cv_, so the coordinator may touch every shard freely.
+      RunShards(0, 1);
     } else {
       EnsurePool();
       // target_ / active_ writes above happen-before the epoch bump under
@@ -202,11 +181,11 @@ void ShardedSimulator::RunRounds(SimTime deadline) {
         ++epoch_;
       }
       start_cv_.notify_all();
-      {
-        std::unique_lock<std::mutex> lock(pool_mu_);
-        const int workers = static_cast<int>(pool_.size());
-        done_cv_.wait(lock, [this, workers] { return done_ == workers; });
-      }
+      // The coordinator is worker 0: it runs its own shards, then waits
+      // only for the workers still busy.
+      RunShards(0, num_threads_);
+      std::unique_lock<std::mutex> lock(pool_mu_);
+      done_cv_.wait(lock, [this] { return done_ == num_threads_ - 1; });
     }
     parallel_seconds_ += SecondsSince(w0);
     ++windows_;
@@ -217,15 +196,26 @@ void ShardedSimulator::RunRounds(SimTime deadline) {
   }
 }
 
+void ShardedSimulator::RunShards(int first, int stride) {
+  for (int s = first; s < num_shards(); s += stride) {
+    if (!active_[static_cast<size_t>(s)]) {
+      continue;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    shards_[static_cast<size_t>(s)]->RunBefore(
+        target_[static_cast<size_t>(s)]);
+    busy_seconds_[static_cast<size_t>(s)] += SecondsSince(t0);
+  }
+}
+
 void ShardedSimulator::EnsurePool() {
   if (!pool_.empty()) {
     return;
   }
-  const int S = num_shards();
   const int W = num_threads_;
-  pool_.reserve(static_cast<size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    pool_.emplace_back([this, w, W, S] {
+  pool_.reserve(static_cast<size_t>(W - 1));
+  for (int w = 1; w < W; ++w) {
+    pool_.emplace_back([this, w, W] {
       uint64_t seen = 0;
       for (;;) {
         {
@@ -237,18 +227,10 @@ void ShardedSimulator::EnsurePool() {
           }
           seen = epoch_;
         }
-        for (int s = w; s < S; s += W) {
-          if (!active_[static_cast<size_t>(s)]) {
-            continue;
-          }
-          const auto t0 = std::chrono::steady_clock::now();
-          shards_[static_cast<size_t>(s)]->RunBefore(
-              target_[static_cast<size_t>(s)]);
-          busy_seconds_[static_cast<size_t>(s)] += SecondsSince(t0);
-        }
+        RunShards(w, W);
         {
           std::lock_guard<std::mutex> lock(pool_mu_);
-          if (++done_ == W) {
+          if (++done_ == W - 1) {
             done_cv_.notify_one();
           }
         }

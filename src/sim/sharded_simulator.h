@@ -17,9 +17,13 @@
 // gains at least min L per round). At the round barrier the main thread
 // drains the per-(src,dst) shard mailboxes into the destination queues —
 // CHECKing mail.at >= target[dst] — and the next round starts. Shards with
-// no event before their target skip execution entirely, and rounds with at
-// most one busy shard run inline on the coordinating thread instead of
-// waking the worker pool.
+// no event before their target skip execution entirely. A round runs on the
+// coordinating thread plus num_threads - 1 pool workers: thread w executes
+// shards s with s % num_threads == w, the coordinator being thread 0. Rounds
+// with at most one busy shard, and every round when num_threads is 1, run
+// all their shards on the coordinator without waking the pool. A single
+// shard is no special case: it has no incoming edges, so each RunUntil is
+// one round with target deadline + 1.
 //
 // Determinism is structural, not scheduling-dependent: every event carries
 // an ordering key (time, origin region, per-origin sequence) — see
@@ -63,8 +67,9 @@ class ShardedSimulator {
  public:
   // Fixed shard assignment: region r -> shard r % num_shards (part of the
   // determinism contract; see DESIGN.md §7.2). `num_threads` caps the
-  // worker pool (0 = one thread per shard; 1 = serial windows, same
-  // results).
+  // threads that run a round: the coordinating thread plus num_threads - 1
+  // pool workers (0 = one thread per shard; 1 = serial rounds on the
+  // coordinator and no pool, same results).
   ShardedSimulator(const Topology& topology, int num_shards,
                    int num_threads = 0);
   ~ShardedSimulator();
@@ -75,12 +80,6 @@ class ShardedSimulator {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int num_threads() const { return num_threads_; }
   const Topology& topology() const { return topology_; }
-
-  // The global conservative lookahead: min cross-shard one-way latency.
-  // kSimTimeMax with a single shard. Rounds actually advance against the
-  // tighter per-(src,dst) bounds; this is their minimum, kept for
-  // telemetry and as the worst-case rate.
-  SimDuration lookahead() const { return lookahead_; }
 
   // The per-pair conservative bound: min src->dst one-way latency over
   // region pairs straddling the two shards. kSimTimeMax on the diagonal (a
@@ -154,16 +153,18 @@ class ShardedSimulator {
   // guarantee, CHECKed).
   void DrainMailboxes();
 
-  // The per-pair frontier round loop (shared by serial and parallel modes;
-  // see RunUntil).
+  // The per-pair frontier round loop behind RunUntil, for every shard and
+  // thread count.
   void RunRounds(SimTime deadline);
-  // Lazily spawns the persistent worker pool (first round with >= 2 active
-  // shards and num_threads_ > 1).
+  // Executes this round's window on the active shards first, first +
+  // stride, ... — the one per-shard body of the coordinator and the pool.
+  void RunShards(int first, int stride);
+  // Lazily spawns the persistent pool of num_threads_ - 1 workers (first
+  // round with >= 2 active shards and num_threads_ > 1).
   void EnsurePool();
 
   Topology topology_;
   int num_threads_;
-  SimDuration lookahead_ = 0;
   std::vector<SimDuration> pair_lookahead_;  // Dense S x S; see PairLookahead.
   std::vector<int> shard_of_region_;
   std::vector<std::unique_ptr<Simulator>> shards_;
@@ -179,11 +180,11 @@ class ShardedSimulator {
   std::vector<SimTime> target_;
   std::vector<uint8_t> active_;
 
-  // Persistent worker pool (parallel mode). Worker w owns shards w, w+W,
-  // ... — static ownership keeps busy_seconds_ single-writer within a
-  // round; the epoch handshake orders inline-round writes from the main
-  // thread against worker rounds. Spawned on first use, joined in the
-  // destructor.
+  // Persistent worker pool. With W = num_threads_, worker w in [1, W) owns
+  // shards w, w+W, ... and the coordinator owns shards 0, W, ... — static
+  // ownership keeps busy_seconds_ single-writer within a round; the epoch
+  // handshake orders the coordinator's writes against worker rounds.
+  // Spawned on first use, joined in the destructor.
   std::vector<std::thread> pool_;
   std::mutex pool_mu_;
   std::condition_variable start_cv_;

@@ -48,12 +48,10 @@ size_t Simulator::Run() {
 }
 
 size_t Simulator::RunUntil(SimTime deadline) {
-  size_t n = 0;
-  while (!events_.empty() && events_.PeekTime() <= deadline) {
-    Step();
-    ++n;
-  }
-  now_ = std::max(now_, deadline);
+  // SimTime is integral and kSimTimeMax is INT64_MAX / 2, so `at <=
+  // deadline` is exactly `at < deadline + 1` and the + 1 cannot overflow.
+  const size_t n = RunBefore(deadline + 1);
+  AdvanceTo(deadline);
   return n;
 }
 

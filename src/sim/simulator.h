@@ -90,8 +90,8 @@ class Simulator {
                           EventFn fn);
 
   // Runs all events with timestamp < `end` (one lookahead window). Does not
-  // advance the clock to `end`; the ShardedSimulator calls AdvanceTo at the
-  // final deadline for RunUntil parity.
+  // advance the clock to `end`: both RunUntil(deadline)s are
+  // RunBefore(deadline + 1) rounds followed by AdvanceTo(deadline).
   size_t RunBefore(SimTime end);
 
   // now = max(now, t).

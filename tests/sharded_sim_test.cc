@@ -3,6 +3,7 @@
 // and the headline determinism contract — fleet results bit-identical
 // across shard counts and thread counts, with one shard as the reference.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -36,19 +37,56 @@ TEST(ShardedSimulatorTest, ShardCountClampedToRegions) {
   EXPECT_EQ(sim.num_shards(), 4);
 }
 
+// The tightest per-pair bound over all ordered shard pairs, diagonal
+// included (kSimTimeMax there).
+SimDuration MinPairLookahead(const ShardedSimulator& sim) {
+  SimDuration min = kSimTimeMax;
+  for (int src = 0; src < sim.num_shards(); ++src) {
+    for (int dst = 0; dst < sim.num_shards(); ++dst) {
+      min = std::min(min, sim.PairLookahead(src, dst));
+    }
+  }
+  return min;
+}
+
 TEST(ShardedSimulatorTest, LookaheadIsMinCrossShardLatency) {
   Topology topo = Topology::FourRegions();
   // 4 shards: every inter-region link is cross-shard; min is us-east <->
   // us-west at 33 ms.
   ShardedSimulator four(topo, 4);
-  EXPECT_EQ(four.lookahead(), Milliseconds(33));
+  EXPECT_EQ(MinPairLookahead(four), Milliseconds(33));
   // 2 shards ({0,2} vs {1,3}): the 0<->2 (40 ms) link goes intra-shard but
   // 0<->1 (33 ms) still crosses.
   ShardedSimulator two(topo, 2);
-  EXPECT_EQ(two.lookahead(), Milliseconds(33));
+  EXPECT_EQ(MinPairLookahead(two), Milliseconds(33));
   // Single shard: no cross-shard links, unbounded window.
   ShardedSimulator one(topo, 1);
-  EXPECT_EQ(one.lookahead(), kSimTimeMax);
+  EXPECT_EQ(MinPairLookahead(one), kSimTimeMax);
+}
+
+TEST(ShardedSimulatorTest, OneShardRunUntilRunsEventsAtEachDeadline) {
+  // A single shard has no incoming edges, so each RunUntil is one round up
+  // to deadline + 1: an event at exactly the deadline runs, the clock ends
+  // on the deadline, and repeating a deadline executes nothing.
+  ShardedSimulator sim(Topology::FourRegions(), /*num_shards=*/1);
+  Simulator* shard = sim.shard(0);
+  std::vector<SimTime> ran;
+  shard->SetCurrentRegion(0);
+  shard->ScheduleAt(Milliseconds(5), [&] { ran.push_back(shard->now()); });
+  shard->ScheduleAt(Milliseconds(9), [&] { ran.push_back(shard->now()); });
+
+  EXPECT_EQ(sim.RunUntil(Milliseconds(5)), 1u);
+  EXPECT_EQ(ran, (std::vector<SimTime>{Milliseconds(5)}));
+  EXPECT_EQ(shard->now(), Milliseconds(5));
+  EXPECT_EQ(sim.RunUntil(Milliseconds(5)), 0u);
+  EXPECT_EQ(shard->now(), Milliseconds(5));
+
+  EXPECT_EQ(sim.RunUntil(Milliseconds(9)), 1u);
+  EXPECT_EQ(ran, (std::vector<SimTime>{Milliseconds(5), Milliseconds(9)}));
+  EXPECT_EQ(shard->now(), Milliseconds(9));
+  EXPECT_EQ(sim.RunUntil(Milliseconds(9)), 0u);
+  EXPECT_EQ(shard->now(), Milliseconds(9));
+  EXPECT_EQ(sim.windows(), 2u);
 }
 
 TEST(EventQueueTest, KeyedPopOrderIsTimeThenKey) {
@@ -155,10 +193,14 @@ TEST(ShardedSimulatorTest, RelayIdenticalAcrossShardsAndThreads) {
   Network plain_net(&plain, Topology::FourRegions());
   const std::vector<std::string> reference = RunRelay(plain, plain_net);
   ASSERT_FALSE(reference.empty());
+  // {4, 2} and {4, 3} give the coordinator two shards of its own, with
+  // uneven ownership across threads in {4, 3}.
   for (auto [shards, threads] : {std::pair<int, int>{1, 1},
                                  {2, 1},
                                  {2, 2},
                                  {4, 1},
+                                 {4, 2},
+                                 {4, 3},
                                  {4, 4}}) {
     EXPECT_EQ(RunShardedRelay(shards, threads), reference)
         << "shards=" << shards << " threads=" << threads;
