@@ -102,7 +102,7 @@ struct FleetSpec {
   SimDuration drain = 0;
   uint64_t seed = 7;
 
-  // Resilience hooks (all empty by default — the seed fast path).
+  // Resilience hooks (all empty by default).
   std::vector<FleetFault> faults;
   std::vector<FleetClientWave> client_waves;
 

@@ -162,9 +162,10 @@ void GatewayLb::Route(RegionId endpoint_region, Request req,
     outcome->cached_prompt_tokens = cached;
     outcome->first_token_time = sim_->now() + response_latency;
     if (shared_callbacks->on_first_token) {
-      sim_->ScheduleAfter(response_latency, [shared_callbacks, outcome] {
-        shared_callbacks->on_first_token(*outcome);
-      });
+      net_->Deliver(outcome->served_region, outcome->client_region,
+                    response_latency, [shared_callbacks, outcome] {
+                      shared_callbacks->on_first_token(*outcome);
+                    });
     }
   };
   ReplicaId rid = replica->id();
@@ -175,9 +176,10 @@ void GatewayLb::Route(RegionId endpoint_region, Request req,
     outcome->cached_prompt_tokens = cached;
     outcome->completion_time = sim_->now() + response_latency;
     if (shared_callbacks->on_complete) {
-      sim_->ScheduleAfter(response_latency, [shared_callbacks, outcome] {
-        shared_callbacks->on_complete(*outcome);
-      });
+      net_->Deliver(outcome->served_region, outcome->client_region,
+                    response_latency, [shared_callbacks, outcome] {
+                      shared_callbacks->on_complete(*outcome);
+                    });
     }
     ++stats_.completed;
     Cluster* c = ClusterFor(cluster_region);

@@ -53,7 +53,11 @@ class Network {
   // message counter: the response leg of an exchange whose latency the
   // caller already computed (e.g. streaming token callbacks). Cross-shard
   // delays must be >= Latency(from, to) or the lookahead contract is
-  // violated (CHECKed here and at the window barrier).
+  // violated (CHECKed here and at the window barrier). The dispatch
+  // engine's relayed response leg, Deliver(lb, client, remainder), meets
+  // this for a forwarded-in request (remainder = Latency(lb, origin) +
+  // Latency(origin, client)) only if the topology obeys the triangle
+  // inequality; FourRegions and ThreeContinents do (net_test).
   void Deliver(RegionId from, RegionId to, SimDuration delay, EventFn fn);
 
   // One-way latency.

@@ -401,17 +401,20 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
 
   const RegionId client_region = queued.req.client_region;
   const RegionId replica_region = replica->region();
-  // Streamed responses travel replica -> LB -> client; a forwarded-in
-  // request additionally hops back through its origin LB.
-  SimDuration response_latency = net_->Latency(replica_region, region_);
+  // Every response travels replica -> LB -> client (paper §3.1). The first
+  // hop lands on this engine's shard, so the outstanding slot, the health
+  // machine and the timeout flags are only ever touched there; the
+  // remainder carries the outcome on to the client, through the origin LB
+  // for a forwarded-in request.
+  const SimDuration first_hop = net_->Latency(replica_region, region_);
+  SimDuration remainder = net_->Latency(region_, client_region);
   int hops = 1;
   if (queued.forwarded_in) {
-    response_latency += net_->Latency(region_, queued.origin_lb_region) +
-                        net_->Latency(queued.origin_lb_region, client_region);
+    remainder = net_->Latency(region_, queued.origin_lb_region) +
+                net_->Latency(queued.origin_lb_region, client_region);
     hops = 2;
-  } else {
-    response_latency += net_->Latency(region_, client_region);
   }
+  const SimDuration response_latency = first_hop + remainder;
 
   auto ctx = std::make_shared<DispatchCtx>();
   ctx->callbacks = std::move(queued.callbacks);
@@ -427,55 +430,10 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
   outcome.hops = hops;
   outcome.forwarded = queued.forwarded_in;
 
-  const bool guarded =
-      config_.outlier.enabled && config_.outlier.request_timeout > 0;
-  Simulator* replica_sim = net_->SimForRegion(replica_region);
-  Replica::Handlers handlers;
-  if (!guarded) {
-    // The handlers below run on the *replica's* shard (the replica invokes
-    // them), so times come from the replica-side clock and client callbacks
-    // travel back through the network.
-    handlers.on_first_token = [this, ctx, response_latency, replica_sim,
-                               replica_region, client_region](
-                                  const Request& /*req*/, int64_t cached) {
-      ctx->outcome.cached_prompt_tokens = cached;
-      ctx->outcome.first_token_time = replica_sim->now() + response_latency;
-      if (ctx->callbacks.on_first_token) {
-        net_->Deliver(replica_region, client_region, response_latency,
-                      [ctx] { ctx->callbacks.on_first_token(ctx->outcome); });
-      }
-    };
-    handlers.on_complete = [this, ctx, response_latency, replica_sim,
-                            replica_region, client_region,
-                            replica_id](const Request& /*req*/,
-                                        int64_t cached) {
-      ctx->outcome.cached_prompt_tokens = cached;
-      ctx->outcome.completion_time = replica_sim->now() + response_latency;
-      if (ctx->callbacks.on_complete) {
-        net_->Deliver(replica_region, client_region, response_latency,
-                      [ctx] { ctx->callbacks.on_complete(ctx->outcome); });
-      }
-      // LB-side accounting flows back over the replica->LB hop only.
-      net_->Send(ctx->outcome.served_region, region_, [this, replica_id] {
-        ReplicaState* rs = FindReplica(replica_id);
-        if (rs != nullptr && rs->outstanding > 0) {
-          --rs->outstanding;
-          TouchReplica(*rs);
-        }
-        ++stats_.completed;
-        TryDispatch();
-      });
-    };
-  } else {
-    // Guarded dispatch (DESIGN.md §10): the response path becomes two hops —
-    // replica -> LB (timeout adjudication on this engine's shard) ->
-    // client — so the outstanding slot, the health machine, and the timeout
-    // flags are only ever touched on the LB shard. A request unanswered
-    // within request_timeout is failed here (on_error sends the client
-    // elsewhere) and its eventual completion, if any, is suppressed.
-    const SimDuration first_hop = net_->Latency(replica_region, region_);
-    const SimDuration remainder = response_latency - first_hop;
-
+  // Request timeout (DESIGN.md §10.2): a request unanswered within
+  // request_timeout is failed here (on_error sends the client elsewhere)
+  // and its eventual completion, if any, is suppressed.
+  if (config_.outlier.enabled && config_.outlier.request_timeout > 0) {
     sim_->ScheduleAfter(
         config_.outlier.request_timeout,
         [this, ctx, replica_id, client_region] {
@@ -503,59 +461,60 @@ void DispatchEngine::DispatchTo(Queued queued, ReplicaId replica_id) {
           }
           TryDispatch();
         });
-
-    handlers.on_first_token = [this, ctx, response_latency, first_hop,
-                               remainder, replica_sim, replica_region,
-                               client_region](const Request& /*req*/,
-                                              int64_t cached) {
-      ctx->outcome.cached_prompt_tokens = cached;
-      ctx->outcome.first_token_time = replica_sim->now() + response_latency;
-      net_->Deliver(replica_region, region_, first_hop,
-                    [this, ctx, remainder, client_region] {
-                      if (ctx->timed_out) {
-                        return;  // Client already saw the error.
-                      }
-                      if (ctx->callbacks.on_first_token) {
-                        net_->Deliver(region_, client_region, remainder,
-                                      [ctx] {
-                                        ctx->callbacks.on_first_token(
-                                            ctx->outcome);
-                                      });
-                      }
-                    });
-    };
-    handlers.on_complete = [this, ctx, response_latency, first_hop, remainder,
-                            replica_sim, replica_region, client_region,
-                            replica_id](const Request& /*req*/,
-                                        int64_t cached) {
-      ctx->outcome.cached_prompt_tokens = cached;
-      ctx->outcome.completion_time = replica_sim->now() + response_latency;
-      net_->Deliver(
-          replica_region, region_, first_hop,
-          [this, ctx, remainder, replica_id, client_region] {
-            if (ctx->timed_out) {
-              ++stats_.late_completions;
-              return;
-            }
-            ctx->finished = true;
-            ReplicaState* rs = FindReplica(replica_id);
-            if (rs != nullptr) {
-              if (rs->outstanding > 0) {
-                --rs->outstanding;
-              }
-              NoteReplicaSuccess(*rs);
-              TouchReplica(*rs);
-            }
-            ++stats_.completed;
-            if (ctx->callbacks.on_complete) {
-              net_->Deliver(region_, client_region, remainder, [ctx] {
-                ctx->callbacks.on_complete(ctx->outcome);
-              });
-            }
-            TryDispatch();
-          });
-    };
   }
+
+  // The handlers run on the *replica's* shard (the replica invokes them), so
+  // times come from the replica-side clock.
+  Simulator* replica_sim = net_->SimForRegion(replica_region);
+  Replica::Handlers handlers;
+  handlers.on_first_token = [this, ctx, response_latency, first_hop,
+                             remainder, replica_sim, replica_region,
+                             client_region](const Request& /*req*/,
+                                            int64_t cached) {
+    ctx->outcome.cached_prompt_tokens = cached;
+    ctx->outcome.first_token_time = replica_sim->now() + response_latency;
+    if (!ctx->callbacks.on_first_token) {
+      return;
+    }
+    net_->Deliver(replica_region, region_, first_hop,
+                  [this, ctx, remainder, client_region] {
+                    if (ctx->timed_out) {
+                      return;  // Client already saw the error.
+                    }
+                    net_->Deliver(region_, client_region, remainder, [ctx] {
+                      ctx->callbacks.on_first_token(ctx->outcome);
+                    });
+                  });
+  };
+  handlers.on_complete = [this, ctx, response_latency, remainder, replica_sim,
+                          replica_region, client_region,
+                          replica_id](const Request& /*req*/, int64_t cached) {
+    ctx->outcome.cached_prompt_tokens = cached;
+    ctx->outcome.completion_time = replica_sim->now() + response_latency;
+    net_->Send(replica_region, region_,
+               [this, ctx, remainder, replica_id, client_region] {
+                 if (ctx->timed_out) {
+                   ++stats_.late_completions;
+                   return;
+                 }
+                 ctx->finished = true;
+                 ReplicaState* rs = FindReplica(replica_id);
+                 if (rs != nullptr) {
+                   if (rs->outstanding > 0) {
+                     --rs->outstanding;
+                   }
+                   NoteReplicaSuccess(*rs);
+                   TouchReplica(*rs);
+                 }
+                 ++stats_.completed;
+                 if (ctx->callbacks.on_complete) {
+                   net_->Deliver(region_, client_region, remainder, [ctx] {
+                     ctx->callbacks.on_complete(ctx->outcome);
+                   });
+                 }
+                 TryDispatch();
+               });
+  };
 
   net_->Send(region_, replica_region,
              [replica, req = std::move(queued.req),

@@ -18,9 +18,13 @@
 //  * The FCFS queue with head-of-line blocking and queue-wait statistics.
 //  * The probe loop: LB -> replica (read the ProbePayload) -> LB round trips
 //    every probe_interval.
-//  * Dispatch mechanics: outcome assembly, response-path latency (including
-//    the extra origin-LB hop for forwarded-in requests), and completion
-//    accounting.
+//  * Dispatch mechanics: outcome assembly and one response path. Every
+//    response travels replica -> LB -> client (paper §3.1): the replica ->
+//    LB leg is a counted message that lands on the engine's shard and
+//    releases the outstanding slot, feeds the health machine and
+//    adjudicates the request timeout; the LB -> client leg delivers the
+//    outcome, through the origin LB for a forwarded-in request. The config
+//    decides only whether a request-timeout event is scheduled.
 //  * The resilience control plane (DESIGN.md §10): a per-replica passive
 //    health state machine (src/routing/health.h) driven by request timeouts,
 //    probe misses, and latency-outlier detection against the fleet median,

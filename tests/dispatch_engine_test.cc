@@ -500,5 +500,29 @@ TEST(DispatchEngineTest, QueueWaitStatsTrackHeadOfLineBlocking) {
   EXPECT_GT(bench.engine->stats().queue_wait_sec.max(), 0.5);
 }
 
+TEST(DispatchEngineTest, ArmedTimeoutKeepsMessageAccounting) {
+  // Every completion returns over one counted replica -> LB message, so an
+  // armed request timeout (which never fires here) must not change the
+  // message count: one dispatch and one completion message per request.
+  auto messages_per_request = [](const DispatchConfig& config) {
+    EngineBench bench(2, config);
+    int completed = 0;
+    for (int i = 0; i < 6; ++i) {
+      bench.Submit(MakeRequest(static_cast<RequestId>(i), 32, 4, "k",
+                               static_cast<Token>(i) * 1000),
+                   CountCompletions(&completed));
+    }
+    bench.sim.RunFor(Seconds(60));
+    EXPECT_EQ(completed, 6);
+    EXPECT_EQ(bench.engine->stats().request_timeouts, 0);
+    return static_cast<double>(bench.net->messages_sent()) / completed;
+  };
+  DispatchConfig armed;
+  armed.outlier.enabled = true;
+  armed.outlier.request_timeout = Seconds(3600);
+  EXPECT_EQ(messages_per_request(DispatchConfig{}), 2.0);
+  EXPECT_EQ(messages_per_request(armed), 2.0);
+}
+
 }  // namespace
 }  // namespace skywalker

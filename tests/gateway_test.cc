@@ -157,5 +157,28 @@ TEST(GatewayTest, SpilledResponsePathCountsTwoHops) {
   EXPECT_TRUE(saw_spill);
 }
 
+TEST(GatewayTest, SpilledResponsesRunInTheClientRegion) {
+  // A spilled request is served in another region; its client callbacks
+  // must still run scoped to the client's region, so the client's
+  // follow-up events carry that region's ordering keys.
+  GatewayBench bench;
+  int spilled_completions = 0;
+  RequestCallbacks callbacks;
+  callbacks.on_complete = [&](const RequestOutcome& o) {
+    EXPECT_EQ(bench.sim.current_region(), o.client_region);
+    if (o.forwarded) {
+      ++spilled_completions;
+    }
+  };
+  Frontend* us = bench.gateway->EndpointFor(0);
+  for (int i = 0; i < 40; ++i) {
+    us->HandleRequest(MakeRequest(static_cast<RequestId>(i), 0, 64, 150,
+                                  static_cast<Token>(i) * 100000),
+                      callbacks);
+  }
+  bench.sim.Run();
+  EXPECT_GT(spilled_completions, 0);
+}
+
 }  // namespace
 }  // namespace skywalker

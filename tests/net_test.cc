@@ -79,6 +79,25 @@ TEST(TopologyTest, ThreeContinentsWithinPaperEnvelope) {
   }
 }
 
+TEST(TopologyTest, BuiltInTopologiesObeyTriangleInequality) {
+  // The dispatch engine relays a forwarded-in response from the serving LB
+  // straight to the client after Latency(lb, origin) + Latency(origin,
+  // client); a cross-shard Deliver below Latency(lb, client) would break the
+  // lookahead contract.
+  for (const Topology& t :
+       {Topology::ThreeContinents(), Topology::FourRegions()}) {
+    const auto n = static_cast<RegionId>(t.num_regions());
+    for (RegionId a = 0; a < n; ++a) {
+      for (RegionId b = 0; b < n; ++b) {
+        for (RegionId c = 0; c < n; ++c) {
+          EXPECT_GE(t.Latency(a, b) + t.Latency(b, c), t.Latency(a, c))
+              << a << " -> " << b << " -> " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(NetworkTest, DeliversAfterLatency) {
   Simulator sim;
   Topology t;

@@ -123,5 +123,33 @@ TEST(ResilienceTest, GrayStragglerGetsLatencyEjected) {
   EXPECT_EQ(on.lost_forever, 0);
 }
 
+TEST(ResilienceTest, IdleRequestTimeoutsAreInert) {
+  // A request timeout that never fires must leave a fault-free run exactly
+  // as it was: same outcomes in the same order, same summary metrics.
+  FleetSpec spec = SmallFleet();
+  spec.collect_trace = true;
+  OutlierConfig outlier = Resilience();
+  outlier.request_timeout = 0;
+  spec.lb.engine.outlier = outlier;
+  FleetResult unarmed = RunFleetExperiment(spec);
+  spec.lb.engine.outlier.request_timeout = Seconds(3600);
+  FleetResult armed = RunFleetExperiment(spec);
+
+  EXPECT_FALSE(unarmed.trace.empty());
+  EXPECT_EQ(armed.trace, unarmed.trace);
+  EXPECT_EQ(armed.request_timeouts, 0);
+  EXPECT_EQ(unarmed.request_timeouts, 0);
+  EXPECT_EQ(armed.issued, unarmed.issued);
+  EXPECT_EQ(armed.completed_total, unarmed.completed_total);
+  EXPECT_EQ(armed.messages_sent, unarmed.messages_sent);
+  EXPECT_EQ(armed.metrics.completed, unarmed.metrics.completed);
+  EXPECT_EQ(armed.metrics.throughput_tok_s, unarmed.metrics.throughput_tok_s);
+  EXPECT_EQ(armed.metrics.ttft_p50_s, unarmed.metrics.ttft_p50_s);
+  EXPECT_EQ(armed.metrics.ttft_p90_s, unarmed.metrics.ttft_p90_s);
+  EXPECT_EQ(armed.metrics.e2e_p50_s, unarmed.metrics.e2e_p50_s);
+  EXPECT_EQ(armed.metrics.e2e_p90_s, unarmed.metrics.e2e_p90_s);
+  EXPECT_EQ(armed.metrics.cache_hit_rate, unarmed.metrics.cache_hit_rate);
+}
+
 }  // namespace
 }  // namespace skywalker
